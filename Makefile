@@ -13,9 +13,12 @@
 #                  the conservative-lookahead worker loops, mailbox rings,
 #                  and termination protocol, including the long engine
 #                  tests that make race skips (runs in CI)
-#   make bench   - the evaluation benchmark harness (also refreshes the
-#                  BENCH_*.json perf-trajectory snapshot via TestEmitBenchTrajectory)
-#   make bench-smoke - fast perf gate: the zero-alloc guards plus short
+#   make bench   - the evaluation benchmark harness, plus the wall-clock
+#                  perf-trajectory gates of TestEmitBenchTrajectory, which
+#                  rewrite the BENCH_*.json snapshot (built only under
+#                  -tags benchtraj, so go test ./... never runs them)
+#   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
+#                  obfus datapath, MD5 MAC and AES pad kernels) plus short
 #                  benchmarks of the event engine and the obfus datapath;
 #                  fails if the alloc guards regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
@@ -76,12 +79,12 @@ race-shards:
 	$(GO) test -race -count=1 ./internal/sim/... ./internal/bus/...
 
 bench:
-	$(GO) test -run TestEmitBenchTrajectory -bench . -benchmem .
+	$(GO) test -tags benchtraj -run TestEmitBenchTrajectory -bench . -benchmem .
 
 bench-smoke:
-	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs' \
+	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs' \
 		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg' \
-		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus
+		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/md5sim ./internal/aes
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null

@@ -322,6 +322,45 @@ func TestLeakageReportEndToEnd(t *testing.T) {
 	}
 }
 
+// doneLine matches the per-experiment "[<exp> done in <duration>]" timing
+// lines, the only wall-clock-dependent output of a run.
+var doneLine = regexp.MustCompile(`(?m)^\[\S+ done in [^\]]*\]\n`)
+
+// TestFullResultsGolden regenerates `obfsim -exp all -requests 5000` on the
+// worker pool and byte-compares it with the archived results_full.txt, the
+// gate behind every "results_full.txt stays byte-identical" claim.
+func TestFullResultsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full -exp all regeneration; run without -short")
+	}
+	want, err := os.ReadFile("../../results_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-exp", "all", "-requests", "5000"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	got := doneLine.ReplaceAll(stdout.Bytes(), nil)
+	want = doneLine.ReplaceAll(want, nil)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("-exp all -requests 5000 differs from results_full.txt at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
+	}
+}
+
 // TestExpFaultsRuns drives the fault-injection experiment through the CLI.
 func TestExpFaultsRuns(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -3,6 +3,7 @@ package aes
 import (
 	"bytes"
 	stdaes "crypto/aes"
+	"crypto/cipher"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
@@ -146,9 +147,10 @@ func TestGFMulProperties(t *testing.T) {
 func TestCTRPadsDistinct(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 16))
 	ctr := NewCTR(c)
-	pads := ctr.Pads(IV{ID: 7, Counter: 100}, 6)
-	if len(pads) != 6 {
-		t.Fatalf("got %d pads", len(pads))
+	// Figure 3's six-pad schedule: consecutive counters from one IV.
+	var pads [6]Pad
+	for i := range pads {
+		pads[i] = ctr.Pad(IV{ID: 7, Counter: 100 + uint64(i)})
 	}
 	for i := 0; i < len(pads); i++ {
 		for j := i + 1; j < len(pads); j++ {
@@ -161,6 +163,94 @@ func TestCTRPadsDistinct(t *testing.T) {
 	again := ctr.Pad(IV{ID: 7, Counter: 100})
 	if again != pads[0] {
 		t.Error("pad regeneration mismatch")
+	}
+}
+
+// stdlibPad returns the crypto/aes counter-mode keystream block at iv, the
+// IV block laid out by iv.Bytes().
+func stdlibPad(t *testing.T, key []byte, iv IV) []byte {
+	t.Helper()
+	blk, err := stdaes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivb := iv.Bytes()
+	out := make([]byte, BlockSize)
+	cipher.NewCTR(blk, ivb[:]).XORKeyStream(out, out)
+	return out
+}
+
+// FuzzPadMatchesStdlib differentially checks the word-level pad kernels
+// against crypto/aes in counter mode: Pad must be the keystream block at
+// the IV, and EncryptBlock64 must XOR in the four keystream blocks at
+// Counter .. Counter+3. The seeds put the 32-bit and 64-bit counter carries
+// inside the four-pad window.
+func FuzzPadMatchesStdlib(f *testing.F) {
+	zero := make([]byte, 16)
+	f.Add(zero, uint64(0), uint64(0), zero)
+	f.Add([]byte("0123456789abcdef"), uint64(7), uint64(0xffffffff), []byte("fedcba9876543210"))
+	f.Add([]byte("0123456789abcdef"), uint64(1)<<32|3, uint64(0xfffffffe), zero)
+	f.Add(zero, uint64(0x0102030405060708), ^uint64(0), []byte("fedcba9876543210"))
+	f.Add([]byte("keykeykeykeykeyk"), ^uint64(0), ^uint64(0)-2, zero)
+	f.Fuzz(func(t *testing.T, key []byte, id, counter uint64, fill []byte) {
+		if len(key) != KeySize || len(fill) == 0 {
+			t.Skip()
+		}
+		c, err := NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctr := NewCTR(c)
+		iv := IV{ID: id, Counter: counter}
+		pad := ctr.Pad(iv)
+		if want := stdlibPad(t, key, iv); !bytes.Equal(pad[:], want) {
+			t.Fatalf("Pad(%+v) = %x, want %x", iv, pad, want)
+		}
+		data := make([]byte, 64)
+		for i := range data {
+			data[i] = fill[i%len(fill)]
+		}
+		want := append([]byte(nil), data...)
+		// crypto/cipher's CTR carries out of the counter into the ID, where
+		// the simulator's IV wraps Counter alone, so the reference is built
+		// one block per counter value.
+		for i := 0; i < 4; i++ {
+			ks := stdlibPad(t, key, IV{ID: id, Counter: counter + uint64(i)})
+			for j := range ks {
+				want[16*i+j] ^= ks[j]
+			}
+		}
+		ctr.EncryptBlock64(data, iv)
+		if !bytes.Equal(data, want) {
+			t.Fatalf("EncryptBlock64(%+v) = %x, want %x", iv, data, want)
+		}
+	})
+}
+
+// TestPadZeroAllocs and TestEncryptBlock64ZeroAllocs pin the per-packet pad
+// kernels at 0 allocs/op.
+func TestPadZeroAllocs(t *testing.T) {
+	c, _ := NewCipher(make([]byte, 16))
+	ctr := NewCTR(c)
+	n := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		n++
+		padSink = ctr.Pad(IV{ID: 3, Counter: n})
+	}); allocs != 0 {
+		t.Fatalf("Pad allocates %v times per call, want 0", allocs)
+	}
+}
+
+func TestEncryptBlock64ZeroAllocs(t *testing.T) {
+	c, _ := NewCipher(make([]byte, 16))
+	ctr := NewCTR(c)
+	data := make([]byte, 64)
+	n := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		n += 4
+		ctr.EncryptBlock64(data, IV{ID: 3, Counter: n})
+	}); allocs != 0 {
+		t.Fatalf("EncryptBlock64 allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -179,24 +269,6 @@ func TestCTRXorRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, orig) {
 		t.Fatal("decrypt round trip failed")
 	}
-}
-
-func TestPadXORShortBuffer(t *testing.T) {
-	var p Pad
-	for i := range p {
-		p[i] = byte(i + 1)
-	}
-	buf := []byte{0, 0, 0}
-	p.XOR(buf)
-	if buf[0] != 1 || buf[1] != 2 || buf[2] != 3 {
-		t.Fatalf("short XOR wrong: %v", buf)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("XOR of over-long buffer did not panic")
-		}
-	}()
-	p.XOR(make([]byte, 17))
 }
 
 func TestECBDeterministic(t *testing.T) {
@@ -222,10 +294,7 @@ func TestIVBytesLayout(t *testing.T) {
 func TestEngineTimingAndEnergy(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 16))
 	e := NewEngine("test", c)
-	pads, done := e.GeneratePads(0, IV{ID: 1, Counter: 0}, 6)
-	if len(pads) != 6 {
-		t.Fatalf("got %d pads", len(pads))
-	}
+	done := e.IssueOnly(0, 6)
 	// 24-cycle latency + 5 extra initiation intervals at 4ns.
 	want := EngineLatency + 5*EngineCycle
 	if done != want {
@@ -268,11 +337,27 @@ func BenchmarkEncryptBlock(b *testing.B) {
 	}
 }
 
+// padSink keeps the benchmarked pads live.
+var padSink Pad
+
+// BenchmarkCTRPads6 generates Figure 3's six pads per request.
 func BenchmarkCTRPads6(b *testing.B) {
 	c, _ := NewCipher(make([]byte, 16))
 	ctr := NewCTR(c)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ctr.Pads(IV{ID: 1, Counter: uint64(i)}, 6)
+		for j := uint64(0); j < 6; j++ {
+			padSink = ctr.Pad(IV{ID: 1, Counter: 6*uint64(i) + j})
+		}
+	}
+}
+
+func BenchmarkEncryptBlock64(b *testing.B) {
+	c, _ := NewCipher(make([]byte, 16))
+	ctr := NewCTR(c)
+	data := make([]byte, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ctr.EncryptBlock64(data, IV{ID: 1, Counter: 4 * uint64(i)})
 	}
 }

@@ -7,17 +7,6 @@ import "encoding/binary"
 // the paper).
 type Pad [BlockSize]byte
 
-// XOR applies the pad to buf in place. Buffers shorter than a pad use a
-// prefix of it; longer buffers panic (callers must split across pads).
-func (p *Pad) XOR(buf []byte) {
-	if len(buf) > BlockSize {
-		panic("aes: buffer longer than one pad")
-	}
-	for i := range buf {
-		buf[i] ^= p[i]
-	}
-}
-
 // IV builds a counter-mode initialization vector. The layout mirrors the
 // paper's description of memory encryption IVs: a 64-bit identifier (page ID
 // or channel/session ID), a 32-bit offset (page offset or direction tag),
@@ -44,33 +33,39 @@ type CTR struct {
 // NewCTR wraps a cipher for pad generation.
 func NewCTR(c *Cipher) *CTR { return &CTR{c: c} }
 
-// Pad returns the pad for a single IV.
+// Pad returns the pad for a single IV. The IV's words go straight into the
+// word-level cipher core, in the column order IV.Bytes lays them out.
+//
+//obfus:hotpath
 func (ct *CTR) Pad(iv IV) Pad {
+	t0, t1, t2, t3 := ct.c.encryptWords(
+		uint32(iv.ID>>32), uint32(iv.ID), uint32(iv.Counter>>32), uint32(iv.Counter))
 	var p Pad
-	b := iv.Bytes()
-	ct.c.Encrypt(p[:], b[:])
+	binary.BigEndian.PutUint32(p[0:4], t0)
+	binary.BigEndian.PutUint32(p[4:8], t1)
+	binary.BigEndian.PutUint32(p[8:12], t2)
+	binary.BigEndian.PutUint32(p[12:16], t3)
 	return p
 }
 
-// Pads returns n consecutive pads starting at iv.Counter. This is the
-// "six pads" schedule of Figure 3: one for the real command+address, one for
-// the dummy command+address, and four for the 64-byte data block.
-func (ct *CTR) Pads(iv IV, n int) []Pad {
-	pads := make([]Pad, n)
-	for i := range pads {
-		pads[i] = ct.Pad(IV{ID: iv.ID, Counter: iv.Counter + uint64(i)})
-	}
-	return pads
-}
-
-// EncryptBlock64 XORs a 64-byte payload with four consecutive pads in place.
+// EncryptBlock64 XORs a 64-byte payload in place with the four consecutive
+// pads at iv.Counter .. iv.Counter+3, each keystream word applied straight
+// to the data (the four data pads of Figure 3's six-pad schedule).
+//
+//obfus:hotpath
 func (ct *CTR) EncryptBlock64(data []byte, iv IV) {
 	if len(data) != 64 {
 		panic("aes: EncryptBlock64 needs a 64-byte block")
 	}
+	id0, id1 := uint32(iv.ID>>32), uint32(iv.ID)
 	for i := 0; i < 4; i++ {
-		p := ct.Pad(IV{ID: iv.ID, Counter: iv.Counter + uint64(i)})
-		p.XOR(data[i*16 : i*16+16])
+		ctr := iv.Counter + uint64(i)
+		t0, t1, t2, t3 := ct.c.encryptWords(id0, id1, uint32(ctr>>32), uint32(ctr))
+		b := data[16*i : 16*i+16]
+		binary.BigEndian.PutUint32(b[0:4], binary.BigEndian.Uint32(b[0:4])^t0)
+		binary.BigEndian.PutUint32(b[4:8], binary.BigEndian.Uint32(b[4:8])^t1)
+		binary.BigEndian.PutUint32(b[8:12], binary.BigEndian.Uint32(b[8:12])^t2)
+		binary.BigEndian.PutUint32(b[12:16], binary.BigEndian.Uint32(b[12:16])^t3)
 	}
 }
 

@@ -31,35 +31,79 @@ func initEncTables() {
 }
 
 // Encrypt encrypts one 16-byte block. dst and src may overlap.
+//
+//obfus:hotpath
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: short block")
 	}
+	t0, t1, t2, t3 := c.encryptWords(
+		binary.BigEndian.Uint32(src[0:4]), binary.BigEndian.Uint32(src[4:8]),
+		binary.BigEndian.Uint32(src[8:12]), binary.BigEndian.Uint32(src[12:16]))
+	binary.BigEndian.PutUint32(dst[0:4], t0)
+	binary.BigEndian.PutUint32(dst[4:8], t1)
+	binary.BigEndian.PutUint32(dst[8:12], t2)
+	binary.BigEndian.PutUint32(dst[12:16], t3)
+}
+
+// encryptWords is the word-level T-table core: it encrypts the block whose
+// big-endian column words are s0..s3 and returns the ciphertext words. The
+// ten rounds are written out, so every round-key index is a constant and
+// the uint8 table indexes need no bounds checks.
+//
+//obfus:hotpath
+func (c *Cipher) encryptWords(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, uint32) {
 	rk := &c.enc
-	s0 := binary.BigEndian.Uint32(src[0:4]) ^ rk[0]
-	s1 := binary.BigEndian.Uint32(src[4:8]) ^ rk[1]
-	s2 := binary.BigEndian.Uint32(src[8:12]) ^ rk[2]
-	s3 := binary.BigEndian.Uint32(src[12:16]) ^ rk[3]
-	k := 4
-	for round := 1; round < numRounds; round++ {
-		t0 := te0[s0>>24] ^ te1[s1>>16&0xff] ^ te2[s2>>8&0xff] ^ te3[s3&0xff] ^ rk[k]
-		t1 := te0[s1>>24] ^ te1[s2>>16&0xff] ^ te2[s3>>8&0xff] ^ te3[s0&0xff] ^ rk[k+1]
-		t2 := te0[s2>>24] ^ te1[s3>>16&0xff] ^ te2[s0>>8&0xff] ^ te3[s1&0xff] ^ rk[k+2]
-		t3 := te0[s3>>24] ^ te1[s0>>16&0xff] ^ te2[s1>>8&0xff] ^ te3[s2&0xff] ^ rk[k+3]
-		s0, s1, s2, s3 = t0, t1, t2, t3
-		k += 4
-	}
+	var t0, t1, t2, t3 uint32
+	// Initial AddRoundKey, then rounds 1-9 alternating s -> t -> s.
+	s0 ^= rk[0]
+	s1 ^= rk[1]
+	s2 ^= rk[2]
+	s3 ^= rk[3]
+	t0 = te0[uint8(s0>>24)] ^ te1[uint8(s1>>16)] ^ te2[uint8(s2>>8)] ^ te3[uint8(s3)] ^ rk[4]
+	t1 = te0[uint8(s1>>24)] ^ te1[uint8(s2>>16)] ^ te2[uint8(s3>>8)] ^ te3[uint8(s0)] ^ rk[5]
+	t2 = te0[uint8(s2>>24)] ^ te1[uint8(s3>>16)] ^ te2[uint8(s0>>8)] ^ te3[uint8(s1)] ^ rk[6]
+	t3 = te0[uint8(s3>>24)] ^ te1[uint8(s0>>16)] ^ te2[uint8(s1>>8)] ^ te3[uint8(s2)] ^ rk[7]
+	s0 = te0[uint8(t0>>24)] ^ te1[uint8(t1>>16)] ^ te2[uint8(t2>>8)] ^ te3[uint8(t3)] ^ rk[8]
+	s1 = te0[uint8(t1>>24)] ^ te1[uint8(t2>>16)] ^ te2[uint8(t3>>8)] ^ te3[uint8(t0)] ^ rk[9]
+	s2 = te0[uint8(t2>>24)] ^ te1[uint8(t3>>16)] ^ te2[uint8(t0>>8)] ^ te3[uint8(t1)] ^ rk[10]
+	s3 = te0[uint8(t3>>24)] ^ te1[uint8(t0>>16)] ^ te2[uint8(t1>>8)] ^ te3[uint8(t2)] ^ rk[11]
+	t0 = te0[uint8(s0>>24)] ^ te1[uint8(s1>>16)] ^ te2[uint8(s2>>8)] ^ te3[uint8(s3)] ^ rk[12]
+	t1 = te0[uint8(s1>>24)] ^ te1[uint8(s2>>16)] ^ te2[uint8(s3>>8)] ^ te3[uint8(s0)] ^ rk[13]
+	t2 = te0[uint8(s2>>24)] ^ te1[uint8(s3>>16)] ^ te2[uint8(s0>>8)] ^ te3[uint8(s1)] ^ rk[14]
+	t3 = te0[uint8(s3>>24)] ^ te1[uint8(s0>>16)] ^ te2[uint8(s1>>8)] ^ te3[uint8(s2)] ^ rk[15]
+	s0 = te0[uint8(t0>>24)] ^ te1[uint8(t1>>16)] ^ te2[uint8(t2>>8)] ^ te3[uint8(t3)] ^ rk[16]
+	s1 = te0[uint8(t1>>24)] ^ te1[uint8(t2>>16)] ^ te2[uint8(t3>>8)] ^ te3[uint8(t0)] ^ rk[17]
+	s2 = te0[uint8(t2>>24)] ^ te1[uint8(t3>>16)] ^ te2[uint8(t0>>8)] ^ te3[uint8(t1)] ^ rk[18]
+	s3 = te0[uint8(t3>>24)] ^ te1[uint8(t0>>16)] ^ te2[uint8(t1>>8)] ^ te3[uint8(t2)] ^ rk[19]
+	t0 = te0[uint8(s0>>24)] ^ te1[uint8(s1>>16)] ^ te2[uint8(s2>>8)] ^ te3[uint8(s3)] ^ rk[20]
+	t1 = te0[uint8(s1>>24)] ^ te1[uint8(s2>>16)] ^ te2[uint8(s3>>8)] ^ te3[uint8(s0)] ^ rk[21]
+	t2 = te0[uint8(s2>>24)] ^ te1[uint8(s3>>16)] ^ te2[uint8(s0>>8)] ^ te3[uint8(s1)] ^ rk[22]
+	t3 = te0[uint8(s3>>24)] ^ te1[uint8(s0>>16)] ^ te2[uint8(s1>>8)] ^ te3[uint8(s2)] ^ rk[23]
+	s0 = te0[uint8(t0>>24)] ^ te1[uint8(t1>>16)] ^ te2[uint8(t2>>8)] ^ te3[uint8(t3)] ^ rk[24]
+	s1 = te0[uint8(t1>>24)] ^ te1[uint8(t2>>16)] ^ te2[uint8(t3>>8)] ^ te3[uint8(t0)] ^ rk[25]
+	s2 = te0[uint8(t2>>24)] ^ te1[uint8(t3>>16)] ^ te2[uint8(t0>>8)] ^ te3[uint8(t1)] ^ rk[26]
+	s3 = te0[uint8(t3>>24)] ^ te1[uint8(t0>>16)] ^ te2[uint8(t1>>8)] ^ te3[uint8(t2)] ^ rk[27]
+	t0 = te0[uint8(s0>>24)] ^ te1[uint8(s1>>16)] ^ te2[uint8(s2>>8)] ^ te3[uint8(s3)] ^ rk[28]
+	t1 = te0[uint8(s1>>24)] ^ te1[uint8(s2>>16)] ^ te2[uint8(s3>>8)] ^ te3[uint8(s0)] ^ rk[29]
+	t2 = te0[uint8(s2>>24)] ^ te1[uint8(s3>>16)] ^ te2[uint8(s0>>8)] ^ te3[uint8(s1)] ^ rk[30]
+	t3 = te0[uint8(s3>>24)] ^ te1[uint8(s0>>16)] ^ te2[uint8(s1>>8)] ^ te3[uint8(s2)] ^ rk[31]
+	s0 = te0[uint8(t0>>24)] ^ te1[uint8(t1>>16)] ^ te2[uint8(t2>>8)] ^ te3[uint8(t3)] ^ rk[32]
+	s1 = te0[uint8(t1>>24)] ^ te1[uint8(t2>>16)] ^ te2[uint8(t3>>8)] ^ te3[uint8(t0)] ^ rk[33]
+	s2 = te0[uint8(t2>>24)] ^ te1[uint8(t3>>16)] ^ te2[uint8(t0>>8)] ^ te3[uint8(t1)] ^ rk[34]
+	s3 = te0[uint8(t3>>24)] ^ te1[uint8(t0>>16)] ^ te2[uint8(t1>>8)] ^ te3[uint8(t2)] ^ rk[35]
+	t0 = te0[uint8(s0>>24)] ^ te1[uint8(s1>>16)] ^ te2[uint8(s2>>8)] ^ te3[uint8(s3)] ^ rk[36]
+	t1 = te0[uint8(s1>>24)] ^ te1[uint8(s2>>16)] ^ te2[uint8(s3>>8)] ^ te3[uint8(s0)] ^ rk[37]
+	t2 = te0[uint8(s2>>24)] ^ te1[uint8(s3>>16)] ^ te2[uint8(s0>>8)] ^ te3[uint8(s1)] ^ rk[38]
+	t3 = te0[uint8(s3>>24)] ^ te1[uint8(s0>>16)] ^ te2[uint8(s1>>8)] ^ te3[uint8(s2)] ^ rk[39]
+
 	// Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-	t0 := uint32(sbox[s0>>24])<<24 | uint32(sbox[s1>>16&0xff])<<16 |
-		uint32(sbox[s2>>8&0xff])<<8 | uint32(sbox[s3&0xff])
-	t1 := uint32(sbox[s1>>24])<<24 | uint32(sbox[s2>>16&0xff])<<16 |
-		uint32(sbox[s3>>8&0xff])<<8 | uint32(sbox[s0&0xff])
-	t2 := uint32(sbox[s2>>24])<<24 | uint32(sbox[s3>>16&0xff])<<16 |
-		uint32(sbox[s0>>8&0xff])<<8 | uint32(sbox[s1&0xff])
-	t3 := uint32(sbox[s3>>24])<<24 | uint32(sbox[s0>>16&0xff])<<16 |
-		uint32(sbox[s1>>8&0xff])<<8 | uint32(sbox[s2&0xff])
-	binary.BigEndian.PutUint32(dst[0:4], t0^rk[k])
-	binary.BigEndian.PutUint32(dst[4:8], t1^rk[k+1])
-	binary.BigEndian.PutUint32(dst[8:12], t2^rk[k+2])
-	binary.BigEndian.PutUint32(dst[12:16], t3^rk[k+3])
+	return (uint32(sbox[uint8(t0>>24)])<<24 | uint32(sbox[uint8(t1>>16)])<<16 |
+			uint32(sbox[uint8(t2>>8)])<<8 | uint32(sbox[uint8(t3)])) ^ rk[40],
+		(uint32(sbox[uint8(t1>>24)])<<24 | uint32(sbox[uint8(t2>>16)])<<16 |
+			uint32(sbox[uint8(t3>>8)])<<8 | uint32(sbox[uint8(t0)])) ^ rk[41],
+		(uint32(sbox[uint8(t2>>24)])<<24 | uint32(sbox[uint8(t3>>16)])<<16 |
+			uint32(sbox[uint8(t0>>8)])<<8 | uint32(sbox[uint8(t1)])) ^ rk[42],
+		(uint32(sbox[uint8(t3>>24)])<<24 | uint32(sbox[uint8(t0>>16)])<<16 |
+			uint32(sbox[uint8(t1>>8)])<<8 | uint32(sbox[uint8(t2)])) ^ rk[43]
 }

@@ -3,6 +3,7 @@ package md5sim
 import (
 	"bytes"
 	stdmd5 "crypto/md5"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,42 @@ func TestComputeMAC(t *testing.T) {
 	}
 }
 
+// FuzzComputeMatchesStdlib differentially checks the one-block MAC path
+// and the general multi-block Digest against crypto/md5: Compute must be
+// the first 8 bytes, big-endian, of the stdlib digest of the 17-byte
+// (type | address | counter) message, and Digest must equal md5.Sum for
+// any message.
+func FuzzComputeMatchesStdlib(f *testing.F) {
+	f.Add(byte(0), uint64(0), uint64(0), []byte(nil))
+	f.Add(byte(1), uint64(0x1000), uint64(42), []byte("abc"))
+	f.Add(byte(0xff), ^uint64(0), ^uint64(0), bytes.Repeat([]byte{0x42}, 55))
+	f.Add(byte(2), uint64(0xdeadbeefcafef00d), uint64(0xffffffff), bytes.Repeat([]byte{7}, 200))
+	f.Fuzz(func(t *testing.T, reqType byte, addr, counter uint64, msg []byte) {
+		var buf [17]byte
+		buf[0] = reqType
+		binary.BigEndian.PutUint64(buf[1:9], addr)
+		binary.BigEndian.PutUint64(buf[9:17], counter)
+		want := stdmd5.Sum(buf[:])
+		if got := Compute(reqType, addr, counter); uint64(got) != binary.BigEndian.Uint64(want[:8]) {
+			t.Fatalf("Compute(%d, %#x, %#x) = %#x, want %x", reqType, addr, counter, uint64(got), want[:8])
+		}
+		if got, want := Digest(msg), stdmd5.Sum(msg); got != want {
+			t.Fatalf("Digest(len %d) = %x, want %x", len(msg), got, want)
+		}
+	})
+}
+
+// TestComputeZeroAllocs pins the per-packet MAC kernel at 0 allocs/op.
+func TestComputeZeroAllocs(t *testing.T) {
+	ctr := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		ctr++
+		macSink = Compute(1, 0x1000+ctr*64, ctr)
+	}); n != 0 {
+		t.Fatalf("Compute allocates %v times per call, want 0", n)
+	}
+}
+
 func TestComputeOverMessage(t *testing.T) {
 	a := ComputeOverMessage([]byte("hello"))
 	b := ComputeOverMessage([]byte("hellp"))
@@ -127,5 +164,15 @@ func BenchmarkDigest17(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Digest(msg)
+	}
+}
+
+// macSink keeps the benchmarked tags live.
+var macSink MAC
+
+func BenchmarkCompute(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		macSink = Compute(1, uint64(i)*64, uint64(i))
 	}
 }

@@ -2,6 +2,7 @@ package md5sim
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"obfusmem/internal/sim"
 )
@@ -31,14 +32,24 @@ const (
 type MAC uint64
 
 // Compute builds the encrypt-and-MAC tag β = H(type | address | counter)
-// over the *plaintext* components of a request (Section 3.5).
+// over the *plaintext* components of a request (Section 3.5). The 17-byte
+// message always fits one block, so the padded block (0x80 terminator,
+// 136-bit little-endian length) is assembled in place and folded once; the
+// tag is the digest's first 8 bytes read big-endian, which are the
+// byte-reversed a and b chaining words.
+//
+//obfus:hotpath
 func Compute(reqType byte, addr uint64, counter uint64) MAC {
-	var buf [17]byte
-	buf[0] = reqType
-	binary.BigEndian.PutUint64(buf[1:9], addr)
-	binary.BigEndian.PutUint64(buf[9:17], counter)
-	d := Digest(buf[:])
-	return MAC(binary.BigEndian.Uint64(d[:8]))
+	const msgLen = 17
+	var blk [BlockSize]byte
+	blk[0] = reqType
+	binary.BigEndian.PutUint64(blk[1:9], addr)
+	binary.BigEndian.PutUint64(blk[9:17], counter)
+	blk[msgLen] = 0x80
+	binary.LittleEndian.PutUint64(blk[BlockSize-8:], msgLen*8)
+	st := initState
+	st.block(blk[:])
+	return MAC(uint64(bits.ReverseBytes32(st.a))<<32 | uint64(bits.ReverseBytes32(st.b)))
 }
 
 // ComputeOverMessage builds the encrypt-then-MAC tag α = H(M) over an
