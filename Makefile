@@ -18,7 +18,8 @@
 #                  rewrite the BENCH_*.json snapshot (built only under
 #                  -tags benchtraj, so go test ./... never runs them)
 #   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
-#                  obfus datapath, MD5 MAC and AES pad kernels) plus short
+#                  obfus datapath, MD5 MAC and AES pad kernels, trace
+#                  recorder spans and request scope, traced bus leg) plus short
 #                  benchmarks of the event engine and the obfus datapath;
 #                  fails if the alloc guards regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
@@ -82,9 +83,9 @@ bench:
 	$(GO) test -tags benchtraj -run TestEmitBenchTrajectory -bench . -benchmem .
 
 bench-smoke:
-	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs' \
+	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs|TestSpanZeroAllocs|TestRequestCycleZeroAllocs|TestTransferTracedZeroAllocs' \
 		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg' \
-		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/md5sim ./internal/aes
+		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/md5sim ./internal/aes ./internal/trace ./internal/bus
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null

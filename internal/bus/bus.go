@@ -222,8 +222,60 @@ type Bus struct {
 	observers []Observer
 	tamperer  Tamperer
 	faults    FaultInjector
-	tr        *trace.Recorder
+	tr        busTrace
 	psPerByte float64
+}
+
+// busTrace is the bus's recorder with its track, span-name, and label IDs
+// resolved once at construction.
+type busTrace struct {
+	rec         *trace.Recorder
+	link        [2]trace.TrackID // indexed by Direction: req-link, resp-link
+	wait, stall trace.NameID
+	legs        [2][len(legNames)]trace.NameID // [dummy][cmd | data<<1 | mac<<2]
+	control     [len(controlNames)]trace.NameID
+	types       [Write + 1]trace.LabelID // ReqType.String() by type
+}
+
+func newBusTrace(rec *trace.Recorder) busTrace {
+	if rec == nil {
+		return busTrace{}
+	}
+	bt := busTrace{
+		rec:   rec,
+		link:  [2]trace.TrackID{rec.Track("req-link"), rec.Track("resp-link")},
+		wait:  rec.Name(names.SpanLinkWait),
+		stall: rec.Name(names.SpanFaultStall),
+	}
+	for d := range bt.legs {
+		for i := range bt.legs[d] {
+			bt.legs[d][i] = rec.Name(dummyLegNames[d][i])
+		}
+	}
+	for k := range bt.control {
+		bt.control[k] = rec.Name(controlNames[k])
+	}
+	for t := range bt.types {
+		bt.types[t] = rec.Label(ReqType(t).String())
+	}
+	return bt
+}
+
+// legName returns the registered span name of a packet's wire composition:
+// which legs (cmd, data, mac) it carries and whether it is a dummy.
+func (bt *busTrace) legName(p *Packet) trace.NameID {
+	if p.Control != ControlNone {
+		return bt.control[p.Control]
+	}
+	return bt.legs[b2i(p.IsDummy)][legIndex(p)]
+}
+
+// typeLabel returns the registered ReqType.String() of a packet.
+func (bt *busTrace) typeLabel(t ReqType) trace.LabelID {
+	if int(t) < len(bt.types) {
+		return bt.types[t]
+	}
+	return bt.rec.Label(t.String())
 }
 
 // New builds a bus.
@@ -239,7 +291,7 @@ func New(cfg Config) *Bus {
 		req:       make([]*sim.Resource, cfg.Channels),
 		resp:      make([]*sim.Resource, cfg.Channels),
 		stats:     make([]ChannelStats, cfg.Channels),
-		tr:        cfg.Trace,
+		tr:        newBusTrace(cfg.Trace),
 		psPerByte: 1000.0 / cfg.BandwidthGBps, // ps per byte at GB/s
 	}
 	b.met = make([]chanMetrics, cfg.Channels)
@@ -356,19 +408,16 @@ func (b *Bus) Transfer(at sim.Time, p *Packet) (arrive sim.Time, delivered *Pack
 		m.respBusyPS.Add(uint64(hold))
 	}
 
-	if b.tr != nil {
-		tid := "req-link"
-		if p.Dir == MemToProc {
-			tid = "resp-link"
-		}
+	if bt := &b.tr; bt.rec != nil {
 		pid := trace.ChannelPID(p.Channel)
+		link := bt.link[p.Dir]
 		if start > at {
-			b.tr.Span(pid, tid, trace.CatQueue, names.SpanLinkWait, at, start)
+			bt.rec.Span(pid, link, trace.CatQueue, bt.wait, at, start)
 		}
-		b.tr.Span(pid, tid, trace.CatBus, legName(p), start,
+		bt.rec.Span(pid, link, trace.CatBus, bt.legName(p), start,
 			start+hold+b.cfg.PropagationDelay,
-			trace.A("bytes", p.WireBytes()), trace.A("type", p.Type.String()),
-			trace.A("dummy", p.IsDummy), trace.A("seq", p.Seq))
+			trace.Int(trace.KeyBytes, int64(p.WireBytes())), trace.Label(trace.KeyType, bt.typeLabel(p.Type)),
+			trace.Bool(trace.KeyDummy, p.IsDummy), trace.Uint(trace.KeySeq, p.Seq))
 	}
 
 	for _, o := range b.observers {
@@ -384,13 +433,9 @@ func (b *Bus) Transfer(at sim.Time, p *Packet) (arrive sim.Time, delivered *Pack
 		var stall sim.Time
 		out, stall = b.faults.Inject(start, out)
 		if stall > 0 {
-			if b.tr != nil {
-				tid := "req-link"
-				if p.Dir == MemToProc {
-					tid = "resp-link"
-				}
-				b.tr.Span(trace.ChannelPID(p.Channel), tid, trace.CatBus,
-					names.SpanFaultStall, arrive, arrive+stall)
+			if bt := &b.tr; bt.rec != nil {
+				bt.rec.Span(trace.ChannelPID(p.Channel), bt.link[p.Dir], trace.CatBus,
+					bt.stall, arrive, arrive+stall)
 			}
 			arrive += stall
 		}
@@ -405,6 +450,15 @@ var legNames = [8]names.Name{
 	names.LegMAC, names.LegCmdMAC, names.LegDataMAC, names.LegCmdDataMAC,
 }
 
+// dummyLegNames is legNames for real ([0]) and dummy ([1]) packets, so the
+// dummy suffix is derived once rather than per traced packet.
+var dummyLegNames = func() (t [2][len(legNames)]names.Name) {
+	for i, n := range legNames {
+		t[0][i], t[1][i] = n, names.Dummy(n)
+	}
+	return t
+}()
+
 // controlNames maps ControlKind to its registered span name.
 var controlNames = [...]names.Name{
 	ControlNone:       names.ControlNone,
@@ -413,27 +467,16 @@ var controlNames = [...]names.Name{
 	ControlResyncResp: names.ControlResyncResp,
 }
 
-// legName describes the wire composition of a packet for its trace span:
-// which legs (cmd, data, mac) it carries and whether it is a dummy.
-func legName(p *Packet) names.Name {
-	if p.Control != ControlNone {
-		return controlNames[p.Control]
+// legIndex encodes a packet's wire composition as a legNames index.
+func legIndex(p *Packet) int {
+	return b2i(p.HasCmd) | b2i(p.Data != nil)<<1 | b2i(p.HasMAC)<<2
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	idx := 0
-	if p.HasCmd {
-		idx |= 1
-	}
-	if p.Data != nil {
-		idx |= 2
-	}
-	if p.HasMAC {
-		idx |= 4
-	}
-	name := legNames[idx]
-	if p.IsDummy {
-		name = names.Dummy(name)
-	}
-	return name
+	return 0
 }
 
 // IdleAt reports whether a channel's request direction is idle at time t;

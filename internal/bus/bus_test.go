@@ -3,7 +3,9 @@ package bus
 import (
 	"testing"
 
+	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
+	"obfusmem/internal/trace"
 )
 
 func TestWireBytes(t *testing.T) {
@@ -319,5 +321,39 @@ func TestShardOf(t *testing.T) {
 	}
 	if b.ShardOf(5, 0) != 0 {
 		t.Fatal("ShardOf with shards<=1 must map everything to shard 0")
+	}
+}
+
+// TestTransferTracedZeroAllocs pins the traced bus leg: with a recorder
+// attached (ring already wrapped), a transfer records its wait and leg
+// spans, dummy-suffixed names included, without allocating.
+func TestTransferTracedZeroAllocs(t *testing.T) {
+	rec := trace.New(64)
+	cfg := DefaultConfig(2)
+	cfg.Trace = rec
+	b := New(cfg)
+	real := &Packet{Channel: 1, Dir: ProcToMem, HasCmd: true, Type: Read, Seq: 1}
+	dummy := &Packet{Channel: 1, Dir: MemToProc, HasCmd: true, Data: make([]byte, DataBytes),
+		HasMAC: true, Type: Write, IsDummy: true, Seq: 2}
+	at := sim.Time(0)
+	step := func() {
+		at += sim.Nanosecond
+		b.Transfer(at, real)
+		b.Transfer(at, dummy)
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("traced Transfer allocates %v times per step, want 0", allocs)
+	}
+	seen := map[string]bool{}
+	for _, s := range rec.Spans() {
+		seen[s.Name] = true
+	}
+	for _, want := range []names.Name{names.LegCmd, names.Dummy(names.LegCmdDataMAC), names.SpanLinkWait} {
+		if !seen[string(want)] {
+			t.Errorf("no %q span recorded", want)
+		}
 	}
 }

@@ -38,8 +38,9 @@ type Hierarchy struct {
 	l2    []*Cache
 	l3    *Cache
 
-	tr      *trace.Recorder
-	coreTID []string
+	tr       *trace.Recorder
+	coreTrk  []trace.TrackID // per-core tracks of tr
+	hitNames [len(hitNames)]trace.NameID
 
 	// coherence traffic counters
 	SnoopHits        uint64
@@ -72,11 +73,16 @@ func (h *Hierarchy) Cores() int { return h.cores }
 // point AccessAt emits spans; the untimed Access never does.
 func (h *Hierarchy) SetTrace(tr *trace.Recorder) {
 	h.tr = tr
-	if tr != nil && h.coreTID == nil {
-		h.coreTID = make([]string, h.cores)
-		for i := range h.coreTID {
-			h.coreTID[i] = fmt.Sprintf("core%d", i)
-		}
+	h.coreTrk = nil
+	if tr == nil {
+		return
+	}
+	h.coreTrk = make([]trace.TrackID, h.cores)
+	for i := range h.coreTrk {
+		h.coreTrk[i] = tr.Track(fmt.Sprintf("core%d", i))
+	}
+	for lvl, name := range hitNames {
+		h.hitNames[lvl] = tr.Name(name)
 	}
 }
 
@@ -238,8 +244,8 @@ var hitNames = [5]names.Name{1: names.SpanL1Hit, 2: names.SpanL2Hit, 3: names.Sp
 func (h *Hierarchy) AccessAt(at sim.Time, core int, addr uint64, write bool) AccessResult {
 	res := h.Access(core, addr, write)
 	if h.tr != nil {
-		h.tr.Span(trace.PIDCPU, h.coreTID[core], trace.CatOther, hitNames[res.HitLevel],
-			at, at+res.Latency, trace.A("addr", addr), trace.A("write", write))
+		h.tr.Span(trace.PIDCPU, h.coreTrk[core], trace.CatOther, h.hitNames[res.HitLevel],
+			at, at+res.Latency, trace.Uint(trace.KeyAddr, addr), trace.Bool(trace.KeyWrite, write))
 	}
 	return res
 }

@@ -101,6 +101,9 @@ type Runner struct {
 	outcomes map[string]Record // committed cell outcomes by key
 	prog     Progress
 	traceNow sim.Time // campaign virtual timeline head
+	// Track and span-name IDs of opts.Trace.
+	traceTrack           trace.TrackID
+	traceCell, traceFail trace.NameID
 
 	srv *statusServer
 }
@@ -146,6 +149,11 @@ func NewRunner(m Manifest, opts Options) (*Runner, error) {
 		opts:     opts,
 		maxTries: d.MaxAttempts,
 		outcomes: make(map[string]Record, len(order)),
+	}
+	if tr := opts.Trace; tr != nil {
+		r.traceTrack = tr.Track("campaign")
+		r.traceCell = tr.Name(names.SpanCampaignCell)
+		r.traceFail = tr.Name(names.SpanCampaignCellFailed)
 	}
 	r.prog = Progress{
 		Name:         d.Name,
@@ -333,14 +341,15 @@ func (r *Runner) commit(rec Record) error {
 		if rec.Result != nil {
 			span = sim.Time(rec.Result.ExecPS)
 		}
-		name := names.SpanCampaignCell
+		name := r.traceCell
 		if rec.Status == statusFailed {
-			name = names.SpanCampaignCellFailed
+			name = r.traceFail
 		}
-		r.opts.Trace.Span(trace.PIDCPU, "campaign", trace.CatOther, name,
+		tr := r.opts.Trace
+		tr.Span(trace.PIDCPU, r.traceTrack, trace.CatOther, name,
 			r.traceNow, r.traceNow+span,
-			trace.A("key", rec.Key), trace.A("scheme", c.Scheme),
-			trace.A("workload", c.Workload), trace.A("attempts", rec.Attempts))
+			trace.Label(trace.KeyKey, tr.Label(rec.Key)), trace.Label(trace.KeyScheme, tr.Label(c.Scheme)),
+			trace.Label(trace.KeyWorkload, tr.Label(c.Workload)), trace.Int(trace.KeyAttempts, int64(rec.Attempts)))
 		r.traceNow += span
 	}
 	return nil

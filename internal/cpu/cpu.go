@@ -127,6 +127,7 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 		cfg = d
 	}
 	res := Result{Benchmark: name}
+	rd, wr := cfg.Trace.Name(names.ReqRead), cfg.Trace.Name(names.ReqWrite)
 	now := sim.Time(0)
 	var pendingWrites []sim.Time
 	var latSum float64
@@ -151,13 +152,13 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 				}
 				pendingWrites = pendingWrites[1:]
 			}
-			id := cfg.Trace.BeginRequest(names.ReqWrite, req.Addr, now)
+			id := cfg.Trace.BeginRequest(wr, req.Addr, now)
 			done := sys.Write(now, req.Addr)
 			cfg.Trace.EndRequest(id, done)
 			pendingWrites = insertSorted(pendingWrites, done)
 		} else {
 			res.Reads++
-			id := cfg.Trace.BeginRequest(names.ReqRead, req.Addr, now)
+			id := cfg.Trace.BeginRequest(rd, req.Addr, now)
 			done := sys.Read(now, req.Addr)
 			cfg.Trace.EndRequest(id, done)
 			lat := done - now

@@ -70,6 +70,7 @@ func RunHierarchy(w HierarchyWorkload, nPerCore int, h *cache.Hierarchy, sys Mem
 	if cfg.Trace != nil {
 		h.SetTrace(cfg.Trace)
 	}
+	rd, wr := cfg.Trace.Name(names.ReqRead), cfg.Trace.Name(names.ReqWrite)
 	if w.Cores <= 0 {
 		w.Cores = 1
 	}
@@ -113,7 +114,7 @@ func RunHierarchy(w HierarchyWorkload, nPerCore int, h *cache.Hierarchy, sys Mem
 				now[core] += ar.Latency
 				for _, m := range ar.MemAccesses {
 					if m.Demand {
-						id := cfg.Trace.BeginRequest(names.ReqRead, m.Addr, now[core])
+						id := cfg.Trace.BeginRequest(rd, m.Addr, now[core])
 						done := sys.Read(now[core], m.Addr)
 						cfg.Trace.EndRequest(id, done)
 						lat := done - now[core]
@@ -122,7 +123,7 @@ func RunHierarchy(w HierarchyWorkload, nPerCore int, h *cache.Hierarchy, sys Mem
 						}
 					} else if m.Write {
 						res.Writebacks++
-						id := cfg.Trace.BeginRequest(names.ReqWrite, m.Addr, now[core])
+						id := cfg.Trace.BeginRequest(wr, m.Addr, now[core])
 						done := sys.Write(now[core], m.Addr)
 						cfg.Trace.EndRequest(id, done)
 					}

@@ -181,8 +181,9 @@ func Evaluate(wire []attack.Wire, issued []Issued, rec *trace.Recorder) Evaluati
 	if len(wire) > 0 {
 		begin, end = wire[0].At, wire[len(wire)-1].At
 	}
+	track := rec.Track("leakage")
 	span := func(name names.Name) {
-		rec.Span(trace.PIDCPU, "leakage", trace.CatOther, name, begin, end)
+		rec.Span(trace.PIDCPU, track, trace.CatOther, rec.Name(name), begin, end)
 	}
 
 	var ev Evaluation

@@ -158,7 +158,7 @@ type Controller struct {
 	stats   []ChannelStats
 	met     []chanMetrics
 	metMigr *metrics.Counter
-	tr      *trace.Recorder
+	tr      memctlTrace
 	// levellers holds one Start-Gap instance per (channel, rank, bank)
 	// when wear levelling is enabled.
 	levellers   []*pcm.StartGap
@@ -166,6 +166,27 @@ type Controller struct {
 	// contents is the functional (value-level) store, allocated on first
 	// StoreBlock.
 	contents map[uint64]Block
+}
+
+// memctlTrace is the controller's recorder with its track and span-name IDs
+// resolved once at construction.
+type memctlTrace struct {
+	rec                                 *trace.Recorder
+	ctl                                 trace.TrackID
+	decode, wearMigration, dummyDropped trace.NameID
+}
+
+func newMemctlTrace(rec *trace.Recorder) memctlTrace {
+	if rec == nil {
+		return memctlTrace{}
+	}
+	return memctlTrace{
+		rec:           rec,
+		ctl:           rec.Track("ctl"),
+		decode:        rec.Name(names.SpanDecode),
+		wearMigration: rec.Name(names.SpanWearMigration),
+		dummyDropped:  rec.Name(names.SpanDummyDropped),
+	}
 }
 
 // New builds a controller with fresh devices.
@@ -176,7 +197,7 @@ func New(cfg Config) *Controller {
 		devices: make([]*pcm.Device, cfg.Channels),
 		stats:   make([]ChannelStats, cfg.Channels),
 	}
-	c.tr = cfg.Trace
+	c.tr = newMemctlTrace(cfg.Trace)
 	c.met = make([]chanMetrics, cfg.Channels)
 	for i := range c.devices {
 		pc := cfg.PCM
@@ -269,11 +290,11 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
 		c.stats[co.Channel].Reads++
 		c.met[co.Channel].reads.Inc()
 	}
-	if c.tr != nil {
+	if c.tr.rec != nil {
 		// Channel pick: the RoRaBaChCo decode routing this request.
-		c.tr.Instant(trace.ChannelPID(co.Channel), "ctl", names.SpanDecode, at,
-			trace.A("rank", co.Rank), trace.A("bank", co.Bank),
-			trace.A("row", co.Row), trace.A("write", write))
+		c.tr.rec.Instant(trace.ChannelPID(co.Channel), c.tr.ctl, c.tr.decode, at,
+			trace.Int(trace.KeyRank, int64(co.Rank)), trace.Int(trace.KeyBank, int64(co.Bank)),
+			trace.Int(trace.KeyRow, co.Row), trace.Bool(trace.KeyWrite, write))
 	}
 	row := co.Row
 	if c.levellers != nil && row < c.rowsPerBank {
@@ -286,9 +307,9 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) sim.Time {
 				// destination but does not stall the requester.
 				c.stats[co.Channel].WearMigrations++
 				c.metMigr.Inc()
-				if c.tr != nil {
-					c.tr.Instant(trace.ChannelPID(co.Channel), "ctl",
-						names.SpanWearMigration, at, trace.A("src_row", src))
+				if c.tr.rec != nil {
+					c.tr.rec.Instant(trace.ChannelPID(co.Channel), c.tr.ctl,
+						c.tr.wearMigration, at, trace.Int(trace.KeySrcRow, int64(src)))
 				}
 				dev := c.devices[co.Channel]
 				done := dev.Access(at, co.Rank, co.Bank, int64(src), false)
@@ -318,7 +339,7 @@ func (c *Controller) AccessOnChannel(at sim.Time, channel int, addr uint64, writ
 func (c *Controller) DropDummy(at sim.Time, channel int) {
 	c.stats[channel].DroppedDummies++
 	c.met[channel].droppedDummies.Inc()
-	c.tr.Instant(trace.ChannelPID(channel), "ctl", names.SpanDummyDropped, at)
+	c.tr.rec.Instant(trace.ChannelPID(channel), c.tr.ctl, c.tr.dummyDropped, at)
 }
 
 // Lane is a single-channel view of the controller: the slice of state one
@@ -341,7 +362,7 @@ func (c *Controller) Lane(channel, shard int) *Lane {
 	if channel < 0 || channel >= c.cfg.Channels {
 		panic(fmt.Sprintf("memctl: lane channel %d of %d", channel, c.cfg.Channels))
 	}
-	if c.tr != nil {
+	if c.tr.rec != nil {
 		panic("memctl: lanes require an untraced controller (the trace recorder is shared state)")
 	}
 	c.devices[channel].SetOwner(shard)

@@ -75,6 +75,49 @@ func newCtrlMetrics(r *metrics.Registry) ctrlMetrics {
 	}
 }
 
+// obfusTrace is the controller's recorder with its track and span-name IDs
+// resolved once at construction.
+type obfusTrace struct {
+	rec                                        *trace.Recorder
+	frontend, procAES, procMD5, memAES         trace.TrackID
+	recovery                                   trace.TrackID
+	frontendWait, frontendSpan, substituteReal trace.NameID
+	encryptPads, macRequest, memDecode         trace.NameID
+	replyEncrypt, replyDecode, tamperDetected  trace.NameID
+	nack, retryTimer, resyncTimer, ctrResync   trace.NameID
+	retryBackoff, recovered, quarantine        trace.NameID
+}
+
+func newObfusTrace(rec *trace.Recorder) obfusTrace {
+	if rec == nil {
+		return obfusTrace{}
+	}
+	return obfusTrace{
+		rec:            rec,
+		frontend:       rec.Track("frontend"),
+		procAES:        rec.Track("proc-aes"),
+		procMD5:        rec.Track("proc-md5"),
+		memAES:         rec.Track("mem-aes"),
+		recovery:       rec.Track("recovery"),
+		frontendWait:   rec.Name(names.SpanFrontendWait),
+		frontendSpan:   rec.Name(names.SpanFrontend),
+		substituteReal: rec.Name(names.SpanSubstituteReal),
+		encryptPads:    rec.Name(names.SpanEncryptPads),
+		macRequest:     rec.Name(names.SpanMACRequest),
+		memDecode:      rec.Name(names.SpanMemDecode),
+		replyEncrypt:   rec.Name(names.SpanReplyEncrypt),
+		replyDecode:    rec.Name(names.SpanReplyDecode),
+		tamperDetected: rec.Name(names.SpanTamperDetected),
+		nack:           rec.Name(names.SpanNACK),
+		retryTimer:     rec.Name(names.SpanRetryTimer),
+		resyncTimer:    rec.Name(names.SpanResyncTimer),
+		ctrResync:      rec.Name(names.SpanCtrResync),
+		retryBackoff:   rec.Name(names.SpanRetryBackoff),
+		recovered:      rec.Name(names.SpanRecovered),
+		quarantine:     rec.Name(names.SpanQuarantine),
+	}
+}
+
 // observeMACSlack records how far the residual MAC latency pushed a
 // request's issue past its encryption-ready time (zero when fully
 // overlapped per Observation 4).
@@ -90,11 +133,11 @@ func (c *Controller) observeMACSlack(encReady, sendReady sim.Time) {
 // injected dummies) and the occupancy, and returns the release time.
 func (c *Controller) acquireFrontEnd(at sim.Time) sim.Time {
 	start := c.frontEnd.Acquire(at, FrontEndTime)
-	if c.tr != nil {
+	if c.tr.rec != nil {
 		if start > at {
-			c.tr.Span(trace.PIDCPU, "frontend", trace.CatQueue, names.SpanFrontendWait, at, start)
+			c.tr.rec.Span(trace.PIDCPU, c.tr.frontend, trace.CatQueue, c.tr.frontendWait, at, start)
 		}
-		c.tr.Span(trace.PIDCPU, "frontend", trace.CatOther, names.SpanFrontend, start, start+FrontEndTime)
+		c.tr.rec.Span(trace.PIDCPU, c.tr.frontend, trace.CatOther, c.tr.frontendSpan, start, start+FrontEndTime)
 	}
 	return start + FrontEndTime
 }
@@ -113,13 +156,13 @@ func (c *Controller) requestCrypto(cs *chanState, ch int, at sim.Time, pads int,
 	if secondMAC && c.cfg.MAC != MACNone {
 		macRequestReady(cs.procMAC, c.cfg.MAC, at, encReady)
 	}
-	if c.tr != nil {
+	if c.tr.rec != nil {
 		pid := trace.ChannelPID(ch)
-		c.tr.Span(pid, "proc-aes", trace.CatCrypto, names.SpanEncryptPads, at, encReady,
-			trace.A("pads", pads))
+		c.tr.rec.Span(pid, c.tr.procAES, trace.CatCrypto, c.tr.encryptPads, at, encReady,
+			trace.Int(trace.KeyPads, int64(pads)))
 		if c.cfg.MAC != MACNone {
-			c.tr.Span(pid, "proc-md5", trace.CatCrypto, names.SpanMACRequest, at, sendReady,
-				trace.A("slack_ns", (sendReady-encReady).Float64Nanos()))
+			c.tr.rec.Span(pid, c.tr.procMD5, trace.CatCrypto, c.tr.macRequest, at, sendReady,
+				trace.NS(trace.KeySlackNS, sendReady-encReady))
 		}
 	}
 	return encReady, sendReady
@@ -275,7 +318,7 @@ type Controller struct {
 	rng      *xrand.Rand
 	stats    Stats
 	met      ctrlMetrics
-	tr       *trace.Recorder
+	tr       obfusTrace
 	seq      uint64
 	frontEnd *sim.Resource
 	// lastReadData holds the most recent value-carrying read result (the
@@ -359,7 +402,7 @@ func New(cfg Config, b *bus.Bus, mem *memctl.Controller, table *keys.SessionKeyT
 		table:       table,
 		rng:         rng,
 		met:         newCtrlMetrics(cfg.Metrics),
-		tr:          cfg.Trace,
+		tr:          newObfusTrace(cfg.Trace),
 		frontEnd:    sim.NewResource("obfus-frontend"),
 		memCapacity: 8 << 30,
 	}
@@ -581,9 +624,9 @@ func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, deliv
 	pad := cs.memReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
 	decodeDone = pregenReady(cs.memReqEng, arrive, 1) + SerDesLatency
 	t, addr = openCmd(delivered.CmdCipher, pad)
-	if c.tr != nil {
-		c.tr.Span(trace.ChannelPID(ch), "mem-aes", trace.CatCrypto, names.SpanMemDecode,
-			arrive, decodeDone, trace.A("ctr", ctr), trace.A("dummy", delivered.IsDummy))
+	if c.tr.rec != nil {
+		c.tr.rec.Span(trace.ChannelPID(ch), c.tr.memAES, trace.CatCrypto, c.tr.memDecode,
+			arrive, decodeDone, trace.Uint(trace.KeyCtr, ctr), trace.Bool(trace.KeyDummy, delivered.IsDummy))
 	}
 	if c.cfg.MAC != MACNone {
 		expect := uint64(md5sim.Compute(byte(t), addr, ctr))
@@ -591,7 +634,7 @@ func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, deliv
 		if expect != delivered.MAC {
 			c.stats.TamperDetected++
 			c.met.tamperDetected.Inc()
-			c.tr.Instant(trace.ChannelPID(ch), "mem-aes", names.SpanTamperDetected, decodeDone)
+			c.tr.rec.Instant(trace.ChannelPID(ch), c.tr.memAES, c.tr.tamperDetected, decodeDone)
 			return t, addr, decodeDone, false
 		}
 	} else if t != delivered.Type || addr != delivered.Addr {
@@ -642,9 +685,9 @@ func (c *Controller) replyData(cs *chanState, ch int, readyAt sim.Time, forDummy
 		c.met.macsComputed.Inc()
 		sendReady = macReplyReady(cs.memMAC, c.cfg.MAC, decodeAt, sendReady)
 	}
-	if c.tr != nil && sendReady > readyAt {
-		c.tr.Span(trace.ChannelPID(ch), "mem-aes", trace.CatCrypto, names.SpanReplyEncrypt,
-			readyAt, sendReady, trace.A("dummy", forDummy))
+	if c.tr.rec != nil && sendReady > readyAt {
+		c.tr.rec.Span(trace.ChannelPID(ch), c.tr.memAES, trace.CatCrypto, c.tr.replyEncrypt,
+			readyAt, sendReady, trace.Bool(trace.KeyDummy, forDummy))
 	}
 	arrive, delivered := c.bus.Transfer(sendReady, pkt)
 	c.lastReplyLost = delivered == nil
@@ -657,8 +700,8 @@ func (c *Controller) replyData(cs *chanState, ch int, readyAt sim.Time, forDummy
 	}
 	// Processor-side transit decryption (pre-generated pads) and MAC check.
 	done := pregenReady(cs.procRespEng, arrive, 4) + SerDesLatency
-	if c.tr != nil {
-		c.tr.Span(trace.ChannelPID(ch), "proc-aes", trace.CatCrypto, names.SpanReplyDecode,
+	if c.tr.rec != nil {
+		c.tr.rec.Span(trace.ChannelPID(ch), c.tr.procAES, trace.CatCrypto, c.tr.replyDecode,
 			arrive, done)
 	}
 	ctr := cs.procRespCtr
@@ -672,7 +715,7 @@ func (c *Controller) replyData(cs *chanState, ch int, readyAt sim.Time, forDummy
 		if expect != delivered.MAC || ctr != delivered.Counter {
 			c.stats.TamperDetected++
 			c.met.tamperDetected.Inc()
-			c.tr.Instant(trace.PIDCPU, "proc-aes", names.SpanTamperDetected, done)
+			c.tr.rec.Instant(trace.PIDCPU, c.tr.procAES, c.tr.tamperDetected, done)
 			return done, false
 		}
 	}

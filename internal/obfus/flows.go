@@ -3,7 +3,6 @@ package obfus
 import (
 	"obfusmem/internal/bus"
 	"obfusmem/internal/memctl"
-	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/trace"
 )
@@ -49,9 +48,9 @@ func (c *Controller) Read(at sim.Time, addr uint64) (done sim.Time, ok bool) {
 		writeHalf = &w
 		c.stats.SubstitutedPairs++
 		c.met.substitutedPairs.Inc()
-		if c.tr != nil {
-			c.tr.Instant(trace.PIDCPU, "frontend", names.SpanSubstituteReal, at,
-				trace.A("write_addr", w.addr))
+		if c.tr.rec != nil {
+			c.tr.rec.Instant(trace.PIDCPU, c.tr.frontend, c.tr.substituteReal, at,
+				trace.Uint(trace.KeyWriteAddr, w.addr))
 		}
 	}
 
@@ -171,9 +170,9 @@ func (c *Controller) processHalf(cs *chanState, ch int, padBase uint64, h half, 
 				if c.lastReplyLost {
 					// A vanished reply is only detectable by timer.
 					failAt = done + c.retryTimeout()
-					if c.tr != nil {
-						c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue,
-							names.SpanRetryTimer, done, failAt)
+					if c.tr.rec != nil {
+						c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatQueue,
+							c.tr.retryTimer, done, failAt)
 					}
 				}
 				return c.retryLeg(cs, ch, h, failAt)
@@ -329,9 +328,9 @@ func (c *Controller) symmetricRequest(cs *chanState, ch int, at sim.Time, t bus.
 			failAt := done
 			if c.lastReplyLost {
 				failAt = done + c.retryTimeout()
-				if c.tr != nil {
-					c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue,
-						names.SpanRetryTimer, done, failAt)
+				if c.tr.rec != nil {
+					c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatQueue,
+						c.tr.retryTimer, done, failAt)
 				}
 			}
 			return c.retryLeg(cs, ch, h, failAt)

@@ -22,7 +22,6 @@ import (
 
 	"obfusmem/internal/bus"
 	"obfusmem/internal/md5sim"
-	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/trace"
 )
@@ -176,7 +175,7 @@ func (c *Controller) sendNACK(cs *chanState, ch int, at sim.Time) (done sim.Time
 	}
 	done = arrive + SerDesLatency
 	cs.procVerMAC.Issue(arrive)
-	c.tr.Instant(trace.ChannelPID(ch), "recovery", names.SpanNACK, done)
+	c.tr.rec.Instant(trace.ChannelPID(ch), c.tr.recovery, c.tr.nack, done)
 	return done, true
 }
 
@@ -190,8 +189,8 @@ func (c *Controller) requestFailAt(cs *chanState, ch int, arrive sim.Time, deliv
 		}
 	}
 	at := arrive + c.retryTimeout()
-	if c.tr != nil {
-		c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryTimer, arrive, at)
+	if c.tr.rec != nil {
+		c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatQueue, c.tr.retryTimer, arrive, at)
 	}
 	return at
 }
@@ -212,8 +211,8 @@ func (c *Controller) resync(cs *chanState, ch int, at sim.Time) (done sim.Time, 
 	if del != req {
 		c.stats.ResyncFailures++
 		fail := arrive + c.retryTimeout()
-		if c.tr != nil {
-			c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanResyncTimer, arrive, fail)
+		if c.tr.rec != nil {
+			c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatQueue, c.tr.resyncTimer, arrive, fail)
 		}
 		return fail, false
 	}
@@ -227,8 +226,8 @@ func (c *Controller) resync(cs *chanState, ch int, at sim.Time) (done sim.Time, 
 	if ackDel != ack {
 		c.stats.ResyncFailures++
 		fail := ackArrive + c.retryTimeout()
-		if c.tr != nil {
-			c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanResyncTimer, ackArrive, fail)
+		if c.tr.rec != nil {
+			c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatQueue, c.tr.resyncTimer, ackArrive, fail)
 		}
 		return fail, false
 	}
@@ -241,8 +240,8 @@ func (c *Controller) resync(cs *chanState, ch int, at sim.Time) (done sim.Time, 
 	cs.procRespCtr = cs.respCtr
 	c.stats.Resyncs++
 	c.met.resyncs.Inc()
-	if c.tr != nil {
-		c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatCrypto, names.SpanCtrResync, begin, done)
+	if c.tr.rec != nil {
+		c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatCrypto, c.tr.ctrResync, begin, done)
 	}
 	return done, true
 }
@@ -257,9 +256,9 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 	budget := c.retryBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
 		at := failAt + c.retryBackoff(attempt)
-		if c.tr != nil {
-			c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryBackoff, failAt, at,
-				trace.A("attempt", attempt))
+		if c.tr.rec != nil {
+			c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatQueue, c.tr.retryBackoff, failAt, at,
+				trace.Int(trace.KeyAttempt, int64(attempt)))
 		}
 		rdone, rok := c.resync(cs, ch, at)
 		if !rok {
@@ -283,8 +282,8 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		if del == nil {
 			c.stats.RequestsLost++
 			failAt = arrive + c.retryTimeout()
-			if c.tr != nil {
-				c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryTimer, arrive, failAt)
+			if c.tr.rec != nil {
+				c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatQueue, c.tr.retryTimer, arrive, failAt)
 			}
 			continue
 		}
@@ -303,8 +302,8 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 			failAt = done
 			if c.lastReplyLost {
 				failAt = done + c.retryTimeout()
-				if c.tr != nil {
-					c.tr.Span(trace.ChannelPID(ch), "recovery", trace.CatQueue, names.SpanRetryTimer, done, failAt)
+				if c.tr.rec != nil {
+					c.tr.rec.Span(trace.ChannelPID(ch), c.tr.recovery, trace.CatQueue, c.tr.retryTimer, done, failAt)
 				}
 			}
 			continue
@@ -312,8 +311,8 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		c.stats.Recovered++
 		c.met.recovered.Inc()
 		c.met.recoveryNS.Observe((done - firstFail).Float64Nanos())
-		c.tr.Instant(trace.ChannelPID(ch), "recovery", names.SpanRecovered, done,
-			trace.A("attempt", attempt))
+		c.tr.rec.Instant(trace.ChannelPID(ch), c.tr.recovery, c.tr.recovered, done,
+			trace.Int(trace.KeyAttempt, int64(attempt)))
 		return done, ok
 	}
 	return c.quarantineChannel(cs, ch, h, failAt)
@@ -367,8 +366,8 @@ func (c *Controller) quarantineChannel(cs *chanState, ch int, h half, at sim.Tim
 		c.stats.Quarantines++
 		c.met.quarantines.Inc()
 		c.events = append(c.events, QuarantineEvent{Channel: ch, At: at, Attempts: c.retryBudget()})
-		c.tr.Instant(trace.ChannelPID(ch), "recovery", names.SpanQuarantine, at,
-			trace.A("attempts", c.retryBudget()))
+		c.tr.rec.Instant(trace.ChannelPID(ch), c.tr.recovery, c.tr.quarantine, at,
+			trace.Int(trace.KeyAttempts, int64(c.retryBudget())))
 	}
 	c.legFailed(h.dummy, true)
 	return at, false

@@ -112,7 +112,7 @@ type Controller struct {
 	mem      *memctl.Controller
 	rng      *xrand.Rand
 	frontEnd *sim.Resource
-	tr       *trace.Recorder
+	tr       palermoTrace
 	met      ctlMetrics
 	stats    Stats
 	seq      uint64
@@ -132,6 +132,27 @@ type Controller struct {
 	zeroData [bus.DataBytes]byte
 }
 
+// palermoTrace is the controller's recorder with its track and span-name
+// IDs resolved once at construction.
+type palermoTrace struct {
+	rec                            *trace.Recorder
+	track                          trace.TrackID
+	protocol, pathRead, evictFlush trace.NameID
+}
+
+func newPalermoTrace(rec *trace.Recorder) palermoTrace {
+	if rec == nil {
+		return palermoTrace{}
+	}
+	return palermoTrace{
+		rec:        rec,
+		track:      rec.Track("palermo"),
+		protocol:   rec.Name(names.SpanPalermoProtocol),
+		pathRead:   rec.Name(names.SpanPathRead),
+		evictFlush: rec.Name(names.SpanEvictFlush),
+	}
+}
+
 // New builds a controller over the shared substrates. The rng drives
 // real-slot choice and cover addresses and must be private to this
 // controller (fork it from the machine seed).
@@ -148,7 +169,7 @@ func New(cfg Config, b *bus.Bus, mem *memctl.Controller, rng *xrand.Rand) *Contr
 		mem:      mem,
 		rng:      rng,
 		frontEnd: sim.NewResource("palermo-frontend"),
-		tr:       cfg.Trace,
+		tr:       newPalermoTrace(cfg.Trace),
 		met:      newCtlMetrics(cfg.Metrics),
 		evict:    make([]uint64, 0, cfg.BatchSize),
 	}
@@ -275,9 +296,9 @@ func (c *Controller) flushEvictions(at sim.Time) {
 			last = done
 		}
 	}
-	if c.tr != nil {
-		c.tr.Span(trace.PIDCPU, "palermo", trace.CatOther, names.SpanEvictFlush, at, last,
-			trace.A("blocks", len(c.evict)))
+	if c.tr.rec != nil {
+		c.tr.rec.Span(trace.PIDCPU, c.tr.track, trace.CatOther, c.tr.evictFlush, at, last,
+			trace.Int(trace.KeyBlocks, int64(len(c.evict))))
 	}
 	c.evict = c.evict[:0]
 	c.sinceFlush = 0
@@ -299,8 +320,8 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) (done sim.Time
 	// Protocol phase: the shared front end serializes stash/posmap work.
 	start := c.frontEnd.Acquire(at, ProtocolTime)
 	issue := start + ProtocolTime
-	if c.tr != nil {
-		c.tr.Span(trace.PIDCPU, "palermo", trace.CatQueue, names.SpanPalermoProtocol, at, issue)
+	if c.tr.rec != nil {
+		c.tr.rec.Span(trace.PIDCPU, c.tr.track, trace.CatQueue, c.tr.protocol, at, issue)
 	}
 
 	// Hardware phase: fetch the path. One uniformly chosen slot carries the
@@ -333,9 +354,9 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) (done sim.Time
 		c.met.lostReqs.Inc()
 		done = latest
 	}
-	if c.tr != nil {
-		c.tr.Span(trace.PIDCPU, "palermo", trace.CatBus, names.SpanPathRead, issue, latest,
-			trace.A("blocks", c.cfg.PathBlocks))
+	if c.tr.rec != nil {
+		c.tr.rec.Span(trace.PIDCPU, c.tr.track, trace.CatBus, c.tr.pathRead, issue, latest,
+			trace.Int(trace.KeyBlocks, int64(c.cfg.PathBlocks)))
 	}
 
 	// Eviction phase: the real block is re-encrypted under a fresh position

@@ -105,6 +105,29 @@ type deviceMetrics struct {
 	maxWear       *metrics.Gauge
 }
 
+// Array access outcomes, indexing accessNames.
+const (
+	rowHit = iota
+	rowMiss
+	rowConflict
+)
+
+// accessNames are the span names of the array access outcomes.
+var accessNames = [...]names.Name{
+	rowHit:      names.SpanRowHit,
+	rowMiss:     names.SpanRowMiss,
+	rowConflict: names.SpanRowConflict,
+}
+
+// pcmTrace is the device's recorder with its per-bank tracks and span names
+// resolved once at construction.
+type pcmTrace struct {
+	rec    *trace.Recorder
+	banks  []trace.TrackID
+	wait   trace.NameID
+	access [len(accessNames)]trace.NameID
+}
+
 // Device is one PCM chip behind one channel.
 //
 //obfus:owned
@@ -114,10 +137,7 @@ type Device struct {
 	banks  []bank
 	stats  Stats
 	met    deviceMetrics
-	tr     *trace.Recorder
-	// bankTID holds precomputed trace track names per bank (avoids
-	// per-access formatting when tracing is on).
-	bankTID []string
+	tr     pcmTrace
 	// wear tracks array writes per (bank,row) for endurance analysis.
 	wear    map[uint64]uint64
 	maxWear uint64
@@ -144,11 +164,13 @@ func New(cfg Config) *Device {
 		d.banks[i].res = sim.NewResource(fmt.Sprintf("bank%d", i))
 		d.banks[i].openRow = -1
 	}
-	if cfg.Trace != nil {
-		d.tr = cfg.Trace
-		d.bankTID = make([]string, n)
-		for i := range d.bankTID {
-			d.bankTID[i] = fmt.Sprintf("rank%d.bank%d", i/cfg.BanksPerRank, i%cfg.BanksPerRank)
+	if rec := cfg.Trace; rec != nil {
+		d.tr = pcmTrace{rec: rec, banks: make([]trace.TrackID, n), wait: rec.Name(names.SpanBankWait)}
+		for i := range d.tr.banks {
+			d.tr.banks[i] = rec.Track(fmt.Sprintf("rank%d.bank%d", i/cfg.BanksPerRank, i%cfg.BanksPerRank))
+		}
+		for k, name := range accessNames {
+			d.tr.access[k] = rec.Name(name)
 		}
 	}
 	if sc := cfg.Metrics; sc != nil {
@@ -259,14 +281,14 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 	}
 
 	var latency sim.Time
-	kind := names.SpanRowHit
+	kind := rowHit
 	switch {
 	case b.openRow == row:
 		d.stats.RowHits++
 		d.met.rowHits.Inc()
 		latency = d.timing.CAS + d.timing.Burst
 	case b.openRow < 0:
-		kind = names.SpanRowMiss
+		kind = rowMiss
 		d.stats.RowMisses++
 		d.met.rowMisses.Inc()
 		d.stats.ArrayReads++
@@ -275,7 +297,7 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 	default:
 		// Conflict: evict the open row (array write if dirty), then
 		// activate the new one.
-		kind = names.SpanRowConflict
+		kind = rowConflict
 		d.stats.RowMisses++
 		d.met.rowMisses.Inc()
 		d.met.bankConflicts.Inc()
@@ -294,13 +316,13 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 		d.met.accessNS.Observe((start + latency - at).Float64Nanos())
 		d.met.bankWaitNS.Observe((start - at).Float64Nanos())
 	}
-	if d.tr != nil {
+	if d.tr.rec != nil {
 		pid := trace.ChannelPID(d.cfg.Channel)
 		if start > reqAt {
-			d.tr.Span(pid, d.bankTID[idx], trace.CatQueue, names.SpanBankWait, reqAt, start)
+			d.tr.rec.Span(pid, d.tr.banks[idx], trace.CatQueue, d.tr.wait, reqAt, start)
 		}
-		d.tr.Span(pid, d.bankTID[idx], trace.CatPCM, kind, start, start+latency,
-			trace.A("row", row), trace.A("write", write))
+		d.tr.rec.Span(pid, d.tr.banks[idx], trace.CatPCM, d.tr.access[kind], start, start+latency,
+			trace.Int(trace.KeyRow, row), trace.Bool(trace.KeyWrite, write))
 	}
 	if b.openRow != row {
 		// A freshly activated row starts clean; the previous row's dirty

@@ -42,12 +42,21 @@ func GeoMean(xs []float64) float64 {
 // single element is every percentile of itself; p is clamped to [0, 100],
 // with p = 0 mapping to the minimum and p = 100 to the maximum.
 func Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile over an already ascending slice, for
+// callers reading several percentiles of one column.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

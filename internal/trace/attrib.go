@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
 
 	"obfusmem/internal/sim"
@@ -17,14 +16,10 @@ import (
 // Section 5 decomposition arguments (MAC overlap, dummy piggybacking)
 // inspectable per request instead of only in aggregate.
 
-// catPriority resolves overlapping spans: service over waiting.
-var catPriority = [numCategories]int{
-	CatPCM:    4,
-	CatBus:    3,
-	CatCrypto: 2,
-	CatQueue:  1,
-	CatOther:  0,
-}
+// byPriority lists the covering categories from the highest priority down:
+// overlapping spans resolve in favour of service over waiting, and time no
+// span covers is "other".
+var byPriority = [...]Category{CatPCM, CatBus, CatCrypto, CatQueue}
 
 // Breakdown is one request's exact latency partition, in picoseconds.
 type Breakdown struct {
@@ -34,6 +29,8 @@ type Breakdown struct {
 
 // ResidualPS returns TotalPS minus the sum of parts (always 0 by
 // construction; kept as a checkable invariant).
+//
+//obfus:hotpath
 func (b Breakdown) ResidualPS() int64 {
 	s := b.TotalPS
 	for _, p := range b.Parts {
@@ -42,67 +39,82 @@ func (b Breakdown) ResidualPS() int64 {
 	return s
 }
 
-// breakdown computes the partition of [begin, end] over the component
-// spans via a sweep over elementary intervals.
-func breakdown(begin, end sim.Time, spans []Span) Breakdown {
+// Sweep events are packed into one uint64 each: the time relative to the
+// window start, then the category, then an open/close bit. Sorting the keys
+// orders the events by time.
+const (
+	evShift   = 4
+	evOpen    = 1
+	maxWindow = 1<<(63-evShift) - 1 // ps; far beyond any request latency
+)
+
+// breakdown partitions [begin, end] over the open request's component spans
+// with one sweep over their sorted open/close events, tracking how many
+// spans of each category are open. Its event buffer is recorder-owned, so it
+// never allocates once the buffer has grown to the largest request.
+//
+//obfus:hotpath
+func (r *Recorder) breakdown(begin, end sim.Time) Breakdown {
 	bd := Breakdown{TotalPS: int64(end - begin)}
 	if end <= begin {
 		return bd
 	}
-	// Collect clipped, non-empty intervals.
-	type iv struct {
-		b, e sim.Time
-		cat  Category
+	if bd.TotalPS > maxWindow {
+		panic("trace: request window exceeds the attribution sweep's range")
 	}
-	ivs := make([]iv, 0, len(spans))
-	cuts := make([]sim.Time, 0, 2*len(spans)+2)
-	for _, s := range spans {
-		if s.Phase != PhaseSpan {
-			continue
-		}
-		b, e := s.Begin, s.End
-		if b < begin {
-			b = begin
-		}
-		if e > end {
-			e = end
-		}
+	r.evs = r.evs[:0]
+	for _, v := range r.cur {
+		b, e := max(v.b, begin), min(v.e, end)
 		if e <= b {
 			continue
 		}
-		ivs = append(ivs, iv{b, e, s.Cat})
-		cuts = append(cuts, b, e)
+		c := uint64(v.cat) << 1
+		r.evs = append(r.evs, uint64(b-begin)<<evShift|c|evOpen, uint64(e-begin)<<evShift|c)
 	}
-	if len(ivs) == 0 {
-		bd.Parts[CatOther] = bd.TotalPS
-		return bd
-	}
-	cuts = append(cuts, begin, end)
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	prev := begin
-	for _, c := range cuts {
-		if c <= prev {
-			continue
+	sortKeys(r.evs)
+	var open [numCategories]int32
+	prev := int64(0)
+	for _, k := range r.evs {
+		if t := int64(k >> evShift); t > prev {
+			bd.Parts[covering(&open)] += t - prev
+			prev = t
 		}
-		// Elementary interval [prev, c): pick the highest-priority
-		// covering category ("other" when uncovered).
-		best := CatOther
-		covered := false
-		for _, v := range ivs {
-			if v.b <= prev && v.e >= c {
-				if !covered || catPriority[v.cat] > catPriority[best] {
-					best = v.cat
-				}
-				covered = true
-			}
+		if k&evOpen != 0 {
+			open[k>>1&7]++
+		} else {
+			open[k>>1&7]--
 		}
-		bd.Parts[best] += int64(c - prev)
-		prev = c
 	}
-	if prev < end {
-		bd.Parts[CatOther] += int64(end - prev)
-	}
+	bd.Parts[CatOther] += bd.TotalPS - prev
 	return bd
+}
+
+// covering returns the highest-priority category with an open span.
+//
+//obfus:hotpath
+func covering(open *[numCategories]int32) Category {
+	for _, c := range byPriority {
+		if open[c] > 0 {
+			return c
+		}
+	}
+	return CatOther
+}
+
+// sortKeys is an insertion sort: a request has a few dozen events, and most
+// arrive nearly in order.
+//
+//obfus:hotpath
+func sortKeys(ks []uint64) {
+	for i := 1; i < len(ks); i++ {
+		k := ks[i]
+		j := i
+		for j > 0 && ks[j-1] > k {
+			ks[j] = ks[j-1]
+			j--
+		}
+		ks[j] = k
+	}
 }
 
 // attribState accumulates per-request breakdowns for the report. Retention
@@ -112,7 +124,7 @@ func breakdown(begin, end sim.Time, spans []Span) Breakdown {
 type attribState struct {
 	limit         int
 	samples       []Breakdown
-	kinds         []string // parallel to samples: "read"/"write"
+	kinds         []NameID // parallel to samples: names.ReqRead/ReqWrite
 	reads, writes uint64
 	droppedSmp    uint64
 	maxResidual   int64
@@ -122,8 +134,9 @@ func newAttribState(limit int) attribState {
 	return attribState{limit: limit}
 }
 
-func (a *attribState) add(kind string, bd Breakdown) {
-	if kind == "write" {
+//obfus:hotpath
+func (a *attribState) add(kind NameID, write bool, bd Breakdown) {
+	if write {
 		a.writes++
 	} else {
 		a.reads++
@@ -184,7 +197,7 @@ func (r *Recorder) Attribution(kindFilter string) Attribution {
 	perCat := make([][]float64, numCategories)
 	var totals []float64
 	for i, bd := range a.samples {
-		if kindFilter != "" && a.kinds[i] != kindFilter {
+		if kindFilter != "" && r.strs[a.kinds[i]] != kindFilter {
 			continue
 		}
 		totals = append(totals, psToNS(bd.TotalPS))
@@ -193,13 +206,17 @@ func (r *Recorder) Attribution(kindFilter string) Attribution {
 		}
 	}
 	rep.Sampled = len(totals)
+	// Each column is summed in sample order (the mean's rounding depends on
+	// it), then sorted once for all three percentiles.
 	row := func(name string, xs []float64) AttributionRow {
+		mean := stats.Mean(xs)
+		sort.Float64s(xs)
 		return AttributionRow{
 			Component: name,
-			MeanNS:    stats.Mean(xs),
-			P50NS:     stats.Percentile(xs, 50),
-			P95NS:     stats.Percentile(xs, 95),
-			P99NS:     stats.Percentile(xs, 99),
+			MeanNS:    mean,
+			P50NS:     stats.PercentileSorted(xs, 50),
+			P95NS:     stats.PercentileSorted(xs, 95),
+			P99NS:     stats.PercentileSorted(xs, 99),
 		}
 	}
 	for _, c := range attribOrder {
@@ -224,5 +241,3 @@ func (a Attribution) Table(title string) *stats.Table {
 	t.AddNote("max per-request residual |total - sum(parts)| = %d ps", a.MaxResidualPS)
 	return t
 }
-
-func hex64(v uint64) string { return fmt.Sprintf("%#x", v) }

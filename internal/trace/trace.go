@@ -6,8 +6,12 @@
 // It follows the same off-by-default discipline as internal/metrics: a nil
 // *Recorder is the disabled recorder, every method on it is a single-branch
 // no-op, and components keep permanent recorder fields they call
-// unconditionally — except where building span arguments would allocate, in
-// which case hot paths guard with a nil check first.
+// unconditionally. Recording a span never allocates once the ring's chunks
+// exist: a component resolves its track, span-name, and label IDs once,
+// when it is handed the recorder (on a nil recorder every ID is 0 and
+// nothing is registered), and passes typed arguments (Int, Uint, Bool,
+// Hex, NS, Label) that are stored inline as 64 raw bits. Strings are
+// formatted only when exporting.
 //
 // Three consumers sit on top of the recorder:
 //
@@ -68,16 +72,6 @@ const PIDCPU = 0
 // ChannelPID maps a memory channel index to its Chrome-trace process ID.
 func ChannelPID(ch int) int { return ch + 1 }
 
-// Arg is one key/value pair attached to a span. Values should be small and
-// JSON-encodable (strings, integers, floats, bools).
-type Arg struct {
-	Key string
-	Val any
-}
-
-// A is a convenience constructor for Arg.
-func A(key string, val any) Arg { return Arg{Key: key, Val: val} }
-
 // Phase distinguishes span shapes in the Chrome export.
 type Phase byte
 
@@ -87,7 +81,8 @@ const (
 	PhaseInstant Phase = 'i' // point event
 )
 
-// Span is one recorded interval (or instant) of component activity.
+// Span is the decoded view of one recorded interval (or instant), built by
+// Spans and the exporters from the recorder's compact records.
 type Span struct {
 	Req   uint64 // enclosing request ID; 0 when outside any request
 	PID   int    // Chrome-trace process: PIDCPU or ChannelPID(ch)
@@ -100,8 +95,59 @@ type Span struct {
 	Args  []Arg
 }
 
+// Arg is one decoded key/value pair of a Span, with the value in the type
+// its JSON export uses (int64, uint64, bool, float64, or string).
+type Arg struct {
+	Key string
+	Val any
+}
+
+// TrackID, NameID, and LabelID index a recorder's string table: a track
+// (Chrome tid) name, a span name, and a string argument value. IDs belong to
+// the recorder that issued them.
+type (
+	TrackID uint32
+	NameID  uint32
+	LabelID uint32
+)
+
 // DefaultLimit is the default ring-buffer capacity (retained spans).
 const DefaultLimit = 100_000
+
+// maxArgs is the inline argument capacity of one record: the request
+// envelope's address plus its five breakdown parts.
+const maxArgs = 6
+
+// record is the stored form of one span. It holds no pointers, so the
+// chunks it lives in are never scanned by the garbage collector.
+type record struct {
+	req        uint64
+	begin, end sim.Time
+	pid        int32
+	track      TrackID
+	name       NameID
+	cat        Category
+	phase      Phase
+	nargs      uint8
+	keys       [maxArgs]Key
+	kinds      [maxArgs]argKind
+	bits       [maxArgs]uint64
+}
+
+// Records live in fixed-size chunks allocated as the ring fills: growth
+// never copies, and a small run never pays for the full limit.
+const (
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+// interval is one component span of the open request, as the attribution
+// sweep needs it.
+type interval struct {
+	b, e sim.Time
+	cat  Category
+}
 
 // Recorder collects spans into a bounded ring buffer and accumulates
 // per-request latency breakdowns. A Recorder is single-threaded, matching
@@ -111,23 +157,35 @@ const DefaultLimit = 100_000
 // The nil Recorder is the disabled recorder: every method is a no-op.
 type Recorder struct {
 	limit   int
-	spans   []Span
-	next    int
-	wrapped bool
+	chunks  [][]record
+	n       int // retained records
+	next    int // oldest record (next to overwrite) once the ring is full
 	dropped uint64
+
+	// String table shared by tracks, span names, and labels; an ID is an
+	// index. Entries are not deduplicated: each component registers its
+	// handful once, and the exporters compare strings, never IDs.
+	strs []string
+
+	requests TrackID // the request-envelope track
 
 	// Current-request scope. The simulation services each request with a
 	// synchronous call tree, so component spans recorded between
 	// BeginRequest and EndRequest belong to that request.
 	reqSeq   uint64
 	curReq   uint64
-	curKind  string
+	curKind  NameID
 	curAddr  uint64
 	curBegin sim.Time
-	cur      []Span // component spans of the open request (scratch)
+	cur      []interval // component spans of the open request (scratch)
+	evs      []uint64   // attribution sweep events (scratch)
 
 	attrib attribState
 }
+
+// strsHint presizes the string table for the tracks, span names, and labels
+// one machine registers (about 70).
+const strsHint = 96
 
 // New returns an enabled recorder retaining at most limit spans
 // (DefaultLimit when limit <= 0).
@@ -135,67 +193,138 @@ func New(limit int) *Recorder {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Recorder{limit: limit, attrib: newAttribState(limit)}
+	r := &Recorder{limit: limit, strs: make([]string, 0, strsHint), attrib: newAttribState(limit)}
+	r.requests = r.Track("requests")
+	return r
 }
 
 // Enabled reports whether the recorder records anything.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// push appends a span to the ring, evicting the oldest when full.
-func (r *Recorder) push(s Span) {
-	if len(r.spans) < r.limit {
-		r.spans = append(r.spans, s)
-		return
-	}
-	// Ring is full: overwrite the oldest retained span.
-	r.spans[r.next] = s
-	r.next++
-	if r.next == r.limit {
-		r.next = 0
-	}
-	r.wrapped = true
-	r.dropped++
+func (r *Recorder) add(s string) uint32 {
+	r.strs = append(r.strs, s)
+	return uint32(len(r.strs) - 1)
 }
 
-// Span records one component interval. No-op on a nil recorder; hot paths
-// that build Args should still guard with Enabled() (or a direct nil check)
-// to avoid the variadic allocation when tracing is off.
-func (r *Recorder) Span(pid int, tid string, cat Category, name names.Name, begin, end sim.Time, args ...Arg) {
+// Track registers a track (Chrome tid) name and returns its ID. Components
+// call it once, when they are handed the recorder; 0 on a nil recorder.
+func (r *Recorder) Track(tid string) TrackID {
+	if r == nil {
+		return 0
+	}
+	return TrackID(r.add(tid))
+}
+
+// Name registers a span name from internal/names; 0 on a nil recorder.
+func (r *Recorder) Name(n names.Name) NameID {
+	if r == nil {
+		return 0
+	}
+	return NameID(r.add(string(n)))
+}
+
+// Label registers a string argument value for Label args; 0 on a nil
+// recorder.
+func (r *Recorder) Label(s string) LabelID {
+	if r == nil {
+		return 0
+	}
+	return LabelID(r.add(s))
+}
+
+// slot returns the ring position for the next record, evicting the oldest
+// when full.
+//
+//obfus:hotpath
+func (r *Recorder) slot() *record {
+	i := r.n
+	if i < r.limit {
+		if i>>chunkShift == len(r.chunks) {
+			//lint:allow hotpath cold: one chunk per chunkLen records until the ring reaches its limit
+			r.grow()
+		}
+		r.n++
+	} else {
+		// Ring is full: overwrite the oldest retained record.
+		i = r.next
+		r.next++
+		if r.next == r.limit {
+			r.next = 0
+		}
+		r.dropped++
+	}
+	return &r.chunks[i>>chunkShift][i&chunkMask]
+}
+
+// grow appends the next chunk, sized so the chunks never exceed the limit.
+func (r *Recorder) grow() {
+	n := r.limit - len(r.chunks)*chunkLen
+	if n > chunkLen {
+		n = chunkLen
+	}
+	r.chunks = append(r.chunks, make([]record, n))
+}
+
+// put stores one record, tagged with the open request (0 outside one).
+//
+//obfus:hotpath
+func (r *Recorder) put(pid int, track TrackID, cat Category, name NameID, ph Phase, begin, end sim.Time, args []Attr) {
+	if len(args) > maxArgs {
+		panic("trace: more than maxArgs span arguments")
+	}
+	s := r.slot()
+	s.req = r.curReq
+	s.begin, s.end = begin, end
+	s.pid = int32(pid)
+	s.track, s.name = track, name
+	s.cat, s.phase = cat, ph
+	s.nargs = uint8(len(args))
+	for i, a := range args {
+		s.keys[i], s.kinds[i], s.bits[i] = a.key, a.kind, a.bits
+	}
+}
+
+// Span records one component interval. No-op on a nil recorder.
+//
+//obfus:hotpath
+func (r *Recorder) Span(pid int, track TrackID, cat Category, name NameID, begin, end sim.Time, args ...Attr) {
 	if r == nil {
 		return
 	}
 	if end < begin {
 		end = begin
 	}
-	s := Span{Req: r.curReq, PID: pid, TID: tid, Cat: cat, Name: string(name),
-		Phase: PhaseSpan, Begin: begin, End: end, Args: args}
-	r.push(s)
+	r.put(pid, track, cat, name, PhaseSpan, begin, end, args)
 	if r.curReq != 0 {
-		r.cur = append(r.cur, s)
+		r.cur = append(r.cur, interval{begin, end, cat})
 	}
 }
 
 // Instant records a point event (decode milestones, dummy drops, tamper
 // detections). Instants never contribute to latency attribution.
-func (r *Recorder) Instant(pid int, tid string, name names.Name, at sim.Time, args ...Arg) {
+//
+//obfus:hotpath
+func (r *Recorder) Instant(pid int, track TrackID, name NameID, at sim.Time, args ...Attr) {
 	if r == nil {
 		return
 	}
-	r.push(Span{Req: r.curReq, PID: pid, TID: tid, Cat: CatOther, Name: string(name),
-		Phase: PhaseInstant, Begin: at, End: at, Args: args})
+	r.put(pid, track, CatOther, name, PhaseInstant, at, at, args)
 }
 
 // BeginRequest opens a request scope at its issue time and returns the
-// request ID (0 on a nil recorder). Component spans recorded until the
-// matching EndRequest attach to this request. Requests do not nest: the
-// core model is the only caller.
-func (r *Recorder) BeginRequest(kind names.Name, addr uint64, at sim.Time) uint64 {
+// request ID (0 on a nil recorder). kind is the registered names.ReqRead or
+// names.ReqWrite. Component spans recorded until the matching EndRequest
+// attach to this request. Requests do not nest: the core model is the only
+// caller.
+//
+//obfus:hotpath
+func (r *Recorder) BeginRequest(kind NameID, addr uint64, at sim.Time) uint64 {
 	if r == nil {
 		return 0
 	}
 	r.reqSeq++
 	r.curReq = r.reqSeq
-	r.curKind = string(kind)
+	r.curKind = kind
 	r.curAddr = addr
 	r.curBegin = at
 	r.cur = r.cur[:0]
@@ -206,6 +335,8 @@ func (r *Recorder) BeginRequest(kind names.Name, addr uint64, at sim.Time) uint6
 // span, computes the exact per-category latency breakdown from the
 // component spans observed in flight, and folds it into the attribution
 // accumulator.
+//
+//obfus:hotpath
 func (r *Recorder) EndRequest(id uint64, end sim.Time) {
 	if r == nil || id == 0 || id != r.curReq {
 		return
@@ -213,38 +344,58 @@ func (r *Recorder) EndRequest(id uint64, end sim.Time) {
 	if end < r.curBegin {
 		end = r.curBegin
 	}
-	bd := breakdown(r.curBegin, end, r.cur)
-	r.attrib.add(r.curKind, bd)
+	bd := r.breakdown(r.curBegin, end)
+	r.attrib.add(r.curKind, r.strs[r.curKind] == string(names.ReqWrite), bd)
 	// The envelope is pushed after its components so chronological ring
-	// eviction drops components before their envelope.
-	r.push(Span{Req: id, PID: PIDCPU, TID: "requests", Cat: CatOther,
-		Name: r.curKind, Phase: PhaseSpan, Begin: r.curBegin, End: end,
-		Args: []Arg{
-			{Key: "addr", Val: hex64(r.curAddr)},
-			{Key: "queue_ns", Val: psToNS(bd.Parts[CatQueue])},
-			{Key: "bus_ns", Val: psToNS(bd.Parts[CatBus])},
-			{Key: "crypto_ns", Val: psToNS(bd.Parts[CatCrypto])},
-			{Key: "pcm_ns", Val: psToNS(bd.Parts[CatPCM])},
-			{Key: "other_ns", Val: psToNS(bd.Parts[CatOther])},
-		}})
+	// eviction drops components before their envelope. Its address and
+	// breakdown are stored raw and formatted only on export.
+	args := [...]Attr{
+		Hex(KeyAddr, r.curAddr),
+		NS(KeyQueueNS, sim.Time(bd.Parts[CatQueue])),
+		NS(KeyBusNS, sim.Time(bd.Parts[CatBus])),
+		NS(KeyCryptoNS, sim.Time(bd.Parts[CatCrypto])),
+		NS(KeyPCMNS, sim.Time(bd.Parts[CatPCM])),
+		NS(KeyOtherNS, sim.Time(bd.Parts[CatOther])),
+	}
+	r.put(PIDCPU, r.requests, CatOther, r.curKind, PhaseSpan, r.curBegin, end, args[:])
 	r.curReq = 0
 	r.cur = r.cur[:0]
 }
 
-// Spans returns the retained spans, oldest first.
+// at returns the i-th retained record, oldest first.
+func (r *Recorder) at(i int) *record {
+	if r.dropped > 0 {
+		i += r.next
+		if i >= r.limit {
+			i -= r.limit
+		}
+	}
+	return &r.chunks[i>>chunkShift][i&chunkMask]
+}
+
+// Spans returns the retained spans, oldest first, decoded.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	if !r.wrapped {
-		out := make([]Span, len(r.spans))
-		copy(out, r.spans)
-		return out
+	out := make([]Span, r.n)
+	for i := range out {
+		out[i] = r.decode(r.at(i))
 	}
-	out := make([]Span, 0, r.limit)
-	out = append(out, r.spans[r.next:]...)
-	out = append(out, r.spans[:r.next]...)
 	return out
+}
+
+// decode expands a record into its Span view.
+func (r *Recorder) decode(s *record) Span {
+	sp := Span{Req: s.req, PID: int(s.pid), TID: r.strs[s.track], Cat: s.cat,
+		Name: r.strs[s.name], Phase: s.phase, Begin: s.begin, End: s.end}
+	if s.nargs > 0 {
+		sp.Args = make([]Arg, s.nargs)
+		for i := range sp.Args {
+			sp.Args[i] = Arg{Key: s.keys[i].String(), Val: r.value(s.kinds[i], s.bits[i])}
+		}
+	}
+	return sp
 }
 
 // Len returns the number of retained spans.
@@ -252,7 +403,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.spans)
+	return r.n
 }
 
 // Dropped returns the number of spans evicted from the ring buffer.

@@ -19,9 +19,12 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Enabled() {
 		t.Error("nil recorder claims enabled")
 	}
-	r.Span(0, "x", CatBus, "s", 0, 10)
-	r.Instant(0, "x", "i", 5)
-	id := r.BeginRequest("read", 0x40, 0)
+	if r.Track("x") != 0 || r.Name("s") != 0 || r.Label("l") != 0 {
+		t.Error("nil recorder registered an ID")
+	}
+	r.Span(0, 0, CatBus, 0, 0, 10, Int(KeyRow, 1))
+	r.Instant(0, 0, 0, 5, Bool(KeyWrite, true))
+	id := r.BeginRequest(0, 0x40, 0)
 	if id != 0 {
 		t.Errorf("nil BeginRequest = %d, want 0", id)
 	}
@@ -48,7 +51,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 10; i++ {
-		r.Span(0, "t", CatOther, names.Name(fmt.Sprintf("s%d", i)), sim.Time(i), sim.Time(i+1))
+		r.Span(0, r.Track("t"), CatOther, r.Name(names.Name(fmt.Sprintf("s%d", i))), sim.Time(i), sim.Time(i+1))
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
@@ -79,7 +82,10 @@ func TestBreakdownExact(t *testing.T) {
 		{Cat: CatCrypto, Phase: PhaseSpan, Begin: 110, End: 300}, // clipped at end=200
 		{Cat: CatBus, Phase: PhaseInstant, Begin: 95, End: 95},   // instants never attribute
 	}
-	bd := breakdown(0, 200, spans)
+	bd := sweep(0, 200, spans)
+	if spec := breakdownSpec(0, 200, spans); bd != spec {
+		t.Fatalf("sweep = %+v, spec = %+v", bd, spec)
+	}
 	if bd.TotalPS != 200 {
 		t.Fatalf("TotalPS = %d", bd.TotalPS)
 	}
@@ -100,10 +106,10 @@ func TestBreakdownExact(t *testing.T) {
 	}
 
 	// Degenerate windows.
-	if bd := breakdown(100, 100, spans); bd.TotalPS != 0 || bd.ResidualPS() != 0 {
+	if bd := sweep(100, 100, spans); bd.TotalPS != 0 || bd.ResidualPS() != 0 {
 		t.Error("empty window not zero")
 	}
-	if bd := breakdown(0, 50, nil); bd.Parts[CatOther] != 50 || bd.ResidualPS() != 0 {
+	if bd := sweep(0, 50, nil); bd.Parts[CatOther] != 50 || bd.ResidualPS() != 0 {
 		t.Error("uncovered window not attributed to other")
 	}
 }
@@ -113,14 +119,15 @@ func TestBreakdownExact(t *testing.T) {
 func TestRequestAttribution(t *testing.T) {
 	r := New(1000)
 	// Two reads (100 ps and 300 ps total) and one write (200 ps).
+	link, data := r.Track("link"), r.Name("data")
 	mkReq := func(kind names.Name, begin, end sim.Time, busEnd sim.Time) {
-		id := r.BeginRequest(kind, 0x1000, begin)
-		r.Span(1, "link", CatBus, "data", begin, busEnd)
+		id := r.BeginRequest(r.Name(kind), 0x1000, begin)
+		r.Span(1, link, CatBus, data, begin, busEnd)
 		r.EndRequest(id, end)
 	}
-	mkReq("read", 0, 100, 40)
-	mkReq("read", 1000, 1300, 1100)
-	mkReq("write", 2000, 2200, 2150)
+	mkReq(names.ReqRead, 0, 100, 40)
+	mkReq(names.ReqRead, 1000, 1300, 1100)
+	mkReq(names.ReqWrite, 2000, 2200, 2150)
 
 	att := r.Attribution("")
 	if att.Requests != 3 || att.Reads != 2 || att.Writes != 1 {
@@ -175,8 +182,8 @@ func TestRequestAttribution(t *testing.T) {
 // carries the per-category breakdown in ns and the request tag.
 func TestRequestEnvelope(t *testing.T) {
 	r := New(100)
-	id := r.BeginRequest("read", 0xabc0, 10)
-	r.Span(1, "bank", CatPCM, "row-hit", 20, 80)
+	id := r.BeginRequest(r.Name(names.ReqRead), 0xabc0, 10)
+	r.Span(1, r.Track("bank"), CatPCM, r.Name("row-hit"), 20, 80)
 	r.EndRequest(id, 110)
 
 	spans := r.Spans()
@@ -202,7 +209,7 @@ func TestRequestEnvelope(t *testing.T) {
 		t.Errorf("component span req = %d, want %d", spans[0].Req, id)
 	}
 	// Spans outside any scope carry req 0.
-	r.Span(0, "t", CatOther, "outside", 200, 210)
+	r.Span(0, r.Track("t"), CatOther, r.Name("outside"), 200, 210)
 	spans = r.Spans()
 	if spans[len(spans)-1].Req != 0 {
 		t.Error("span outside request scope tagged with a request")
@@ -214,10 +221,12 @@ func TestRequestEnvelope(t *testing.T) {
 // durations, per-track monotonic timestamps, dropped count surfaced.
 func TestChromeExportRoundTrip(t *testing.T) {
 	r := New(3) // force eviction so otherData reports drops
+	read, link, ctl := r.Name(names.ReqRead), r.Track("req-link"), r.Track("ctl")
+	cmd, decode := r.Name("cmd"), r.Name("decode")
 	for i := 0; i < 5; i++ {
-		id := r.BeginRequest("read", uint64(i)*64, sim.Time(i*100))
-		r.Span(1, "req-link", CatBus, "cmd", sim.Time(i*100), sim.Time(i*100+13))
-		r.Instant(1, "ctl", "decode", sim.Time(i*100+13))
+		id := r.BeginRequest(read, uint64(i)*64, sim.Time(i*100))
+		r.Span(1, link, CatBus, cmd, sim.Time(i*100), sim.Time(i*100+13))
+		r.Instant(1, ctl, decode, sim.Time(i*100+13))
 		r.EndRequest(id, sim.Time(i*100+90))
 	}
 	var buf bytes.Buffer

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -124,4 +125,41 @@ func TestReadTraceBadGapNoPanic(t *testing.T) {
 			t.Errorf("case %d: error lacks line number: %v", i, err)
 		}
 	}
+}
+
+// TestReadTraceLineTooLong checks that a line beyond the scanner's 1 MiB
+// limit is an error, not a panic or a silent truncation.
+func TestReadTraceLineTooLong(t *testing.T) {
+	in := strings.Repeat("1", 1<<20) + ",0x40,0\n"
+	if reqs, err := ReadTrace(strings.NewReader(in)); err == nil {
+		t.Fatalf("over-long line accepted: %d requests", len(reqs))
+	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the trace parser: it must never
+// panic, and whatever it accepts must survive WriteTrace → ReadTrace as the
+// same requests.
+func FuzzReadTrace(f *testing.F) {
+	f.Add([]byte("gap_ns,addr,write\n"))
+	f.Add([]byte("gap_ns,addr,write\n10.5,0x1000,0\n# comment\n\n20,4096,1\n"))
+	f.Add([]byte("-3,0x40,1\n"))
+	f.Add([]byte("0," + strings.Repeat("0", 4<<10) + "40,0\n")) // a long line; TestReadTraceLineTooLong covers the 1 MiB limit
+	f.Add([]byte("9e15,0x40,0\n18446744073709551615,0xffffffffffffffff,1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, reqs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("written trace does not parse: %v\n%s", err, buf.Bytes())
+		}
+		if !slices.Equal(back, reqs) {
+			t.Fatalf("round trip changed the requests:\n got %+v\nwant %+v\nwritten:\n%s", back, reqs, buf.Bytes())
+		}
+	})
 }
