@@ -8,11 +8,6 @@
 #                  bounded and skips wall-clock assertions that race
 #                  instrumentation would distort)
 #   make race-full - the complete suite under the race detector
-#   make race-shards - the shard-synchronization paths (internal/sim,
-#                  internal/bus) under the race detector WITHOUT -short:
-#                  the conservative-lookahead worker loops, mailbox rings,
-#                  and termination protocol, including the long engine
-#                  tests that make race skips (runs in CI)
 #   make bench   - the evaluation benchmark harness, plus the wall-clock
 #                  perf-trajectory gates of TestEmitBenchTrajectory, which
 #                  rewrite the BENCH_*.json snapshot (built only under
@@ -30,7 +25,8 @@
 #                  cpu.pprof / mem.pprof (see EXPERIMENTS.md "Profiling and
 #                  benchmarking" for how to read them)
 #   make lint    - obfuslint: the repo's own analyzer suite (determinism,
-#                  hotpath, eventref, metricnames; see DESIGN.md
+#                  eventref, hotpath, metricnames, secretflow, wireonly; see
+#                  `go run ./cmd/obfuslint -list` and DESIGN.md
 #                  "Machine-checked invariants"), plus golangci-lint and
 #                  govulncheck when installed (both skipped, not failed,
 #                  when absent so the frozen toolchain image still lints)
@@ -43,7 +39,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fix race race-full race-shards bench bench-smoke campaign-smoke profile ci trace-demo
+.PHONY: check vet lint lint-fix race race-full bench bench-smoke campaign-smoke profile ci trace-demo
 
 check:
 	$(GO) build ./...
@@ -76,9 +72,6 @@ race:
 race-full:
 	$(GO) test -race ./...
 
-race-shards:
-	$(GO) test -race -count=1 ./internal/sim/... ./internal/bus/...
-
 bench:
 	$(GO) test -tags benchtraj -run TestEmitBenchTrajectory -bench . -benchmem .
 
@@ -89,14 +82,6 @@ bench-smoke:
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null
-	@echo "bench-smoke: sharded-engine byte-identity (shards=1 vs shards=8)"
-	@$(GO) run ./cmd/obfsim -exp openloop -requests 800 -shards 1 > .openloop_s1.txt 2>/dev/null; \
-	$(GO) run ./cmd/obfsim -exp openloop -requests 800 -shards 8 > .openloop_s8.txt 2>/dev/null; \
-	if cmp -s .openloop_s1.txt .openloop_s8.txt; then \
-		echo "bench-smoke: shards=1 and shards=8 byte-identical"; rm -f .openloop_s1.txt .openloop_s8.txt; \
-	else \
-		echo "bench-smoke: SHARD DETERMINISM VIOLATION (outputs differ)"; diff .openloop_s1.txt .openloop_s8.txt; exit 1; \
-	fi
 	$(MAKE) campaign-smoke
 
 campaign-smoke:

@@ -300,25 +300,6 @@ func BenchmarkSymmetricAlt(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedOpenLoop sweeps shard counts on the 8-channel open-loop
-// configuration, reporting event throughput. The results are bit-identical
-// at every shard count (TestShardsOneVsManyIdentical); only the engine's
-// cost varies.
-func BenchmarkShardedOpenLoop(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(map[int]string{1: "1shard", 2: "2shards", 4: "4shards", 8: "8shards"}[shards], func(b *testing.B) {
-			var fired uint64
-			for i := 0; i < b.N; i++ {
-				cfg := system.DefaultOpenLoopConfig()
-				cfg.Shards = shards
-				cfg.Requests = 400
-				fired = system.RunOpenLoop(cfg).EventsFired
-			}
-			b.ReportMetric(float64(fired)/(b.Elapsed().Seconds()/float64(b.N)), "events/sec")
-		})
-	}
-}
-
 // BenchmarkChannelScaling sweeps channels for the paper-preferred OPT
 // policy, reporting mean read latency.
 func BenchmarkChannelScaling(b *testing.B) {

@@ -2,7 +2,7 @@
 
 // Perf-trajectory snapshot: TestEmitBenchTrajectory measures wall-clock
 // simulator cost (event engine, per-scheme ns/request, metrics, tracing,
-// recovery, leakage and campaign overheads, sharded scaling) and writes the
+// recovery, leakage and campaign overheads) and writes the
 // BENCH_*.json snapshot. Wall-clock gates are meaningless on shared or
 // loaded hardware and the snapshot is a tracked file, so this file is built
 // only under the benchtraj tag:
@@ -53,14 +53,6 @@ type trajectoryRun struct {
 	NSPerRequest float64 `json:"ns_per_request"` // best of reps: simulator cost
 }
 
-// shardedRun is one point on the sharded-engine intra-run scaling curve.
-type shardedRun struct {
-	Shards       int     `json:"shards"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	WallClockSec float64 `json:"wall_clock_sec"`
-	SpeedupX     float64 `json:"speedup_x"` // vs the shards=1 sequential reference
-}
-
 // trajectory is the BENCH_*.json schema.
 type trajectory struct {
 	PR       int             `json:"pr"`
@@ -93,24 +85,9 @@ type trajectory struct {
 		AllocsPerEvent         float64 `json:"allocs_per_event"`
 		BaselineAllocsPerEvent float64 `json:"baseline_allocs_per_event"`
 	} `json:"engine"`
-	// Sharded is the sharded-engine scaling curve: the 8-channel open-loop
-	// configuration (the Figure 5 channel count) run at shards ∈ {1,2,4,8},
-	// with the shards=1 sequential reference as the baseline. Cores records
-	// the machine's CPU count because the curve is meaningless without it:
-	// conservative-lookahead workers cannot outrun the sequential reference
-	// on a single core (the workers just take turns), so the ≥2x speedup
-	// acceptance assertion is gated on Cores >= 4 and the recorded numbers
-	// are always the honest measurement, whatever the hardware.
-	// BackendsCellSec records one `-exp backends` closed-loop cell on the
-	// sequential engine, the cross-PR anchor showing the sharded work left
-	// the reference path's cost unchanged.
-	Sharded struct {
-		Cores           int          `json:"cores"`
-		Channels        int          `json:"channels"`
-		RequestsPerLane int          `json:"requests_per_lane"`
-		Runs            []shardedRun `json:"runs"`
-		BackendsCellSec float64      `json:"backends_cell_sec"`
-	} `json:"sharded"`
+	// BackendsCellSec is the wall-clock cost of one quick `-exp backends`
+	// run, comparable across PR snapshots on the same hardware.
+	BackendsCellSec float64 `json:"backends_cell_sec"`
 	// ObfusLegAllocsPerOp is the steady-state allocation count of one
 	// authenticated read+write pair through the full pooled datapath
 	// (recovery armed, zero faults) after warmup; the 0 target is asserted
@@ -200,38 +177,6 @@ func obfusLegAllocs() float64 {
 		addr = (addr + 64) % 4096
 		at += 200 * sim.Nanosecond
 	})
-}
-
-// shardedScaling measures the open-loop run's wall clock and event
-// throughput at each shard count (best of reps). Every run is the same
-// simulation — the byte-identity gate (TestShardsOneVsManyIdentical)
-// guarantees identical results — so the curve isolates pure engine cost.
-func shardedScaling(perLane, reps int, shardCounts []int) []shardedRun {
-	runs := make([]shardedRun, 0, len(shardCounts))
-	for _, shards := range shardCounts {
-		best := time.Duration(1<<63 - 1)
-		var fired uint64
-		for r := 0; r < reps; r++ {
-			cfg := system.DefaultOpenLoopConfig()
-			cfg.Shards = shards
-			cfg.Requests = perLane
-			start := time.Now()
-			res := system.RunOpenLoop(cfg)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			fired = res.EventsFired
-		}
-		runs = append(runs, shardedRun{
-			Shards:       shards,
-			EventsPerSec: float64(fired) / best.Seconds(),
-			WallClockSec: best.Seconds(),
-		})
-	}
-	for i := range runs {
-		runs[i].SpeedupX = runs[0].WallClockSec / runs[i].WallClockSec
-	}
-	return runs
 }
 
 // wallClockRun measures simulator wall-clock cost per request for one
@@ -367,14 +312,14 @@ func TestEmitBenchTrajectory(t *testing.T) {
 		GOARCH: runtime.GOARCH,
 	}
 
-	// Event-engine before/after on identical churn. The ≥1.5x target is the
-	// engine rework's acceptance line; the hard error trips only on a gross
-	// miss so noisy shared hardware can't flake the suite.
+	// Event-engine before/after on identical churn. The engine rework aimed
+	// for 1.5x; the hard error trips only below 1.2x, a gross miss, so noisy
+	// shared hardware can't flake the suite.
 	traj.Engine.EventsPerSec, traj.Engine.AllocsPerEvent = measureChurn(newEngineChurn(), reps)
 	traj.Engine.BaselineEventsPerSec, traj.Engine.BaselineAllocsPerEvent = measureChurn(newBaselineChurn(), reps)
 	traj.Engine.SpeedupX = traj.Engine.EventsPerSec / traj.Engine.BaselineEventsPerSec
 	if traj.Engine.SpeedupX < 1.2 {
-		t.Errorf("engine speedup %.2fx vs boxed-heap baseline, want >= 1.5x", traj.Engine.SpeedupX)
+		t.Errorf("engine speedup %.2fx vs boxed-heap baseline, want >= 1.2x", traj.Engine.SpeedupX)
 	}
 	if traj.Engine.AllocsPerEvent != 0 {
 		t.Errorf("engine churn allocates %.2f allocs/event, want 0", traj.Engine.AllocsPerEvent)
@@ -384,27 +329,11 @@ func TestEmitBenchTrajectory(t *testing.T) {
 	// internal/obfus; recorded here for the trajectory).
 	traj.ObfusLegAllocsPerOp = obfusLegAllocs()
 
-	// Sharded-engine scaling on the 8-channel open-loop configuration.
-	// The ≥2x-at-4-shards acceptance line only makes sense with real
-	// parallel hardware underneath: on fewer than 4 cores the workers
-	// time-slice one another and the synchronization cost is all that's
-	// left, so the assertion is gated on the core count and the snapshot
-	// records whatever this machine honestly measured.
-	traj.Sharded.Cores = runtime.NumCPU()
-	traj.Sharded.Channels = system.DefaultOpenLoopConfig().Channels
-	traj.Sharded.RequestsPerLane = 600
-	traj.Sharded.Runs = shardedScaling(traj.Sharded.RequestsPerLane, reps, []int{1, 2, 4, 8})
-	for _, r := range traj.Sharded.Runs {
-		if r.Shards == 4 && traj.Sharded.Cores >= 4 && r.SpeedupX < 2 {
-			t.Errorf("sharded engine speedup %.2fx at shards=4 on %d cores, want >= 2x",
-				r.SpeedupX, traj.Sharded.Cores)
-		}
-	}
 	backendsStart := time.Now()
 	if tbl := exp.Backends(exp.QuickOptions()); tbl.Rows() == 0 {
 		t.Fatal("empty backends table")
 	}
-	traj.Sharded.BackendsCellSec = time.Since(backendsStart).Seconds()
+	traj.BackendsCellSec = time.Since(backendsStart).Seconds()
 
 	base := system.DefaultConfig(system.Unprotected)
 	base.Seed = 9

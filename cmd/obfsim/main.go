@@ -28,15 +28,8 @@
 //
 // With -cpuprofile/-memprofile the run writes pprof profiles of the whole
 // invocation (see `make profile` and the "Profiling and benchmarking"
-// section of EXPERIMENTS.md), -blockprofile/-mutexprofile additionally
-// capture goroutine-blocking and mutex-contention profiles (the shard
-// synchronization paths), and -workers sizes the benchmark worker pool
+// section of EXPERIMENTS.md), and -workers sizes the benchmark worker pool
 // (0 = one per CPU).
-//
-// The openloop experiment (not part of -exp all) runs the channel-sharded
-// open-loop scenario on the sharded intra-run engine; -shards picks the
-// partition count (0 = one per CPU, 1 = the sequential reference), with
-// bit-identical output for every value.
 //
 // With -campaign manifest.json the program instead runs (or resumes) a
 // journaled campaign: the manifest's scheme x workload x fault-rate x seed
@@ -82,21 +75,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("obfsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		which        = fs.String("exp", "all", "experiment: all|none|table1|table2|table3|figure4|figure5|energy|table4|tampering|timing|sensitivity|faults|backends|leakage|openloop")
-		requests     = fs.Int("requests", 8000, "memory requests per benchmark per configuration")
-		seed         = fs.Uint64("seed", 42, "global experiment seed")
-		serial       = fs.Bool("serial", false, "disable parallel benchmark execution")
-		workers      = fs.Int("workers", 0, "benchmark worker-pool size (0 = one per CPU); ignored with -serial")
-		shards       = fs.Int("shards", 0, "per-run event-queue shards for open-loop experiments (0 = one per CPU, 1 = sequential reference); results are bit-identical for any value")
-		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		memProfile   = fs.String("memprofile", "", "write a pprof heap profile (post-GC) at exit to this file")
-		blockProfile = fs.String("blockprofile", "", "write a pprof goroutine-blocking profile at exit to this file (shard-barrier waits)")
-		mutexProfile = fs.String("mutexprofile", "", "write a pprof mutex-contention profile at exit to this file")
-		exposure     = fs.Float64("exposure", 0.55, "fraction of read latency exposed to execution time")
-		csv          = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		useMetrics   = fs.Bool("metrics", false, "record per-component observability metrics (small overhead)")
-		metricsOut   = fs.String("metrics-out", "metrics.json", "file for the metrics JSON snapshot (\"-\" for stdout); implies -metrics")
-		leakageOut   = fs.String("leakage-out", "", "machine-readable leakage report JSON (\"-\" for stdout); implies the -exp leakage sweep")
+		which      = fs.String("exp", "all", "experiment: all|none|table1|table2|table3|figure4|figure5|energy|table4|tampering|timing|sensitivity|faults|backends|leakage")
+		requests   = fs.Int("requests", 8000, "memory requests per benchmark per configuration")
+		seed       = fs.Uint64("seed", 42, "global experiment seed")
+		serial     = fs.Bool("serial", false, "disable parallel benchmark execution")
+		workers    = fs.Int("workers", 0, "benchmark worker-pool size (0 = one per CPU); ignored with -serial")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile (post-GC) at exit to this file")
+		exposure   = fs.Float64("exposure", 0.55, "fraction of read latency exposed to execution time")
+		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		useMetrics = fs.Bool("metrics", false, "record per-component observability metrics (small overhead)")
+		metricsOut = fs.String("metrics-out", "metrics.json", "file for the metrics JSON snapshot (\"-\" for stdout); implies -metrics")
+		leakageOut = fs.String("leakage-out", "", "machine-readable leakage report JSON (\"-\" for stdout); implies the -exp leakage sweep")
 
 		campaignPath = fs.String("campaign", "", "campaign manifest JSON: run (or resume) the journaled grid it defines and exit (see EXPERIMENTS.md)")
 		campaignOut  = fs.String("campaign-out", "campaign-out", "campaign directory holding the journal and merged results")
@@ -129,8 +119,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		{"trace-out", *traceOut},
 		{"attrib-out", *attribOut},
 		{"leakage-out", *leakageOut},
-		{"blockprofile", *blockProfile},
-		{"mutexprofile", *mutexProfile},
 	}
 	if *useMetrics || metricsOutSet {
 		preflight = append(preflight, [2]string{"metrics-out", *metricsOut})
@@ -175,39 +163,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "[heap profile written to %s]\n", *memProfile)
 		}()
 	}
-	// Block and mutex profiling diagnose shard-synchronization stalls: where
-	// worker goroutines wait (mailbox backpressure, horizon spins parked by
-	// the scheduler) and which locks contend. Sampling is off by default and
-	// enabled only for the run when requested, like the CPU profile.
-	if *blockProfile != "" {
-		runtime.SetBlockProfileRate(1)
-		defer func() {
-			runtime.SetBlockProfileRate(0)
-			if err := writeLookupProfile("block", *blockProfile); err != nil {
-				fmt.Fprintf(stderr, "obfsim: blockprofile: %v\n", err)
-				return
-			}
-			fmt.Fprintf(stderr, "[block profile written to %s]\n", *blockProfile)
-		}()
-	}
-	if *mutexProfile != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer func() {
-			runtime.SetMutexProfileFraction(0)
-			if err := writeLookupProfile("mutex", *mutexProfile); err != nil {
-				fmt.Fprintf(stderr, "obfsim: mutexprofile: %v\n", err)
-				return
-			}
-			fmt.Fprintf(stderr, "[mutex profile written to %s]\n", *mutexProfile)
-		}()
-	}
-
 	opts := exp.DefaultOptions()
 	opts.Requests = *requests
 	opts.Seed = *seed
 	opts.Parallel = !*serial
 	opts.Workers = *workers
-	opts.Shards = *shards
 	opts.CPU = cpu.Config{Exposure: *exposure, WriteBuffer: 16}
 
 	var reg *metrics.Registry
@@ -269,9 +229,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"faults":      func() *stats.Table { return exp.Faults(opts) },
 		"backends":    func() *stats.Table { return exp.Backends(opts) },
 		"leakage":     func() *stats.Table { return leakageReport().Table() },
-		"openloop":    func() *stats.Table { return exp.OpenLoop(opts) },
 	}
-	// "backends", "leakage", and "openloop" are deliberately not part of
+	// "backends" and "leakage" are deliberately not part of
 	// -exp all: the archived results_full.txt predates them and must stay
 	// reproducible byte for byte.
 	order := []string{"table1", "table2", "table3", "figure4", "figure5", "energy", "table4", "tampering", "timing", "sensitivity", "faults"}
@@ -380,23 +339,6 @@ func checkWritable(flagName, path string) error {
 		os.Remove(path)
 	}
 	return nil
-}
-
-// writeLookupProfile writes a named runtime profile (block, mutex) to path.
-func writeLookupProfile(name, path string) error {
-	p := pprof.Lookup(name)
-	if p == nil {
-		return fmt.Errorf("no %q profile in this runtime", name)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeSnapshot exports the registry as indented JSON to the named file, or

@@ -32,10 +32,15 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"determinism", "eventref", "hotpath", "metricnames", "secretflow", "shardown"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			got = append(got, f[0])
 		}
+	}
+	want := []string{"determinism", "eventref", "hotpath", "metricnames", "secretflow", "wireonly"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("-list names = %v, want exactly %v:\n%s", got, want, out)
 	}
 }
 

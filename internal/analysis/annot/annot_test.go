@@ -70,7 +70,6 @@ func Seal(x uint64) uint64 { return x }
 func TestTypeAndFieldDirectives(t *testing.T) {
 	_, _, d := parseSrc(t, `package p
 
-//obfus:owned
 type lane struct {
 	//obfus:secret
 	addr uint64
@@ -80,11 +79,8 @@ type lane struct {
 
 type plain struct{ x int }
 `)
-	if !d.TypeHas("lane", Owned) {
-		t.Error("lane should be //obfus:owned")
-	}
-	if d.TypeHas("plain", Owned) {
-		t.Error("plain must not be owned")
+	if d.FieldHas("plain", "x", Secret) {
+		t.Error("plain.x must not be secret")
 	}
 	if !d.FieldHas("lane", "addr", Secret) {
 		t.Error("lane.addr doc-comment directive missed")
@@ -225,7 +221,6 @@ func TestModuleIndexCrossPackageIsolation(t *testing.T) {
 //obfus:secret addr
 func Access(addr uint64) {}
 
-//obfus:owned
 type Lane struct {
 	cipher uint64 //obfus:secret
 }
@@ -260,16 +255,6 @@ type Lane struct {
 		t.Errorf("a.Access secret args = %v, %v; want [addr]", args, ok)
 	}
 
-	laneA := types.NewTypeName(token.NoPos, pkgA, "Lane", nil)
-	types.NewNamed(laneA, types.NewStruct(nil, nil), nil)
-	laneB := types.NewTypeName(token.NoPos, pkgB, "Lane", nil)
-	types.NewNamed(laneB, types.NewStruct(nil, nil), nil)
-	if !idx.TypeHas(laneA, Owned) {
-		t.Error("a.Lane should be indexed //obfus:owned")
-	}
-	if idx.TypeHas(laneB, Owned) {
-		t.Error("b.Lane must NOT inherit a.Lane's directive")
-	}
 	if !idx.FieldHas(pkgA, "Lane", "cipher", Secret) {
 		t.Error("a.Lane.cipher should be indexed //obfus:secret")
 	}

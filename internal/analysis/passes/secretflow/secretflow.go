@@ -11,10 +11,10 @@
 // parameters and fields), ground-truth views (attack.Truth field reads,
 // Observer.TruthTrace), and secret-returning functions (bare
 // //obfus:secret). Sinks are the wire-observable effects the membus attack
-// exploits: event times handed to sim scheduling (Endpoint.Schedule,
-// Endpoint.Send, Engine.Schedule/After), bus transfer times (Bus.Transfer),
-// and the wire-view fields of bus.Packet (CmdCipher, HasCmd, Data, MAC,
-// HasMAC, Channel — the fields attack.Wire projects). A branch on a
+// exploits: event times handed to sim scheduling (Engine.Schedule/After,
+// Engine.RunUntil), bus transfer times (Bus.Transfer), and the wire-view
+// fields of bus.Packet (CmdCipher, HasCmd, Data, MAC, HasMAC, Channel — the
+// fields attack.Wire projects). A branch on a
 // secret-derived condition that guards a wire sink is also reported: the
 // choice itself modulates observable traffic.
 //
@@ -77,21 +77,18 @@ type sink struct {
 // sinkTable maps (package basename, Recv.Name function key) to its
 // wire-observable arguments.
 var sinkTable = map[[2]string]sink{
-	{"sim", "Endpoint.Schedule"}: {[]int{0}, "an event timestamp"},
-	{"sim", "Endpoint.Send"}:     {[]int{1}, "a cross-shard delivery timestamp"},
-	{"sim", "Engine.Schedule"}:   {[]int{0}, "an event timestamp"},
-	{"sim", "Engine.After"}:      {[]int{0}, "an event delay"},
-	{"sim", "Engine.RunUntil"}:   {[]int{0}, "the simulation horizon"},
-	{"bus", "Bus.Transfer"}:      {[]int{0}, "a bus transfer time"},
+	{"sim", "Engine.Schedule"}: {[]int{0}, "an event timestamp"},
+	{"sim", "Engine.After"}:    {[]int{0}, "an event delay"},
+	{"sim", "Engine.RunUntil"}: {[]int{0}, "the simulation horizon"},
+	{"bus", "Bus.Transfer"}:    {[]int{0}, "a bus transfer time"},
 }
 
 // publicResults lists calls whose results are wire-observable and therefore
 // public by definition: the attacker already sees arrival times, so feeding
 // them back into later scheduling is the model, not a leak.
 var publicResults = map[[2]string]bool{
-	{"sim", "Endpoint.Now"}:   true,
-	{"sim", "Engine.Now"}:     true,
-	{"bus", "Bus.Transfer"}:   true,
+	{"sim", "Engine.Now"}:       true,
+	{"bus", "Bus.Transfer"}:     true,
 	{"bus", "Bus.TransferTime"}: true,
 }
 

@@ -289,41 +289,6 @@ func TestResetRestoresCleanState(t *testing.T) {
 	}
 }
 
-func TestLookahead(t *testing.T) {
-	b := New(DefaultConfig(4))
-	// Shortest packet: 16-byte command at 12.8 GB/s (1250 ps) + 1 ns wire
-	// flight = 2250 ps.
-	if got := b.Lookahead(); got != 2250 {
-		t.Fatalf("Lookahead() = %v ps, want 2250", got)
-	}
-	if b.Lookahead() > b.TransferTime(CmdBytes)+b.Config().PropagationDelay {
-		t.Fatal("Lookahead exceeds the minimum transfer latency it is meant to bound")
-	}
-}
-
-func TestShardOf(t *testing.T) {
-	b := New(DefaultConfig(8))
-	for _, shards := range []int{1, 2, 4, 8} {
-		counts := make([]int, shards)
-		for ch := 0; ch < b.Channels(); ch++ {
-			s := b.ShardOf(ch, shards)
-			if s < 0 || s >= shards {
-				t.Fatalf("ShardOf(%d, %d) = %d out of range", ch, shards, s)
-			}
-			counts[s]++
-		}
-		// Round-robin striping over 8 channels must balance exactly.
-		for s, n := range counts {
-			if n != b.Channels()/shards {
-				t.Fatalf("shards=%d: shard %d got %d channels, want %d", shards, s, n, b.Channels()/shards)
-			}
-		}
-	}
-	if b.ShardOf(5, 0) != 0 {
-		t.Fatal("ShardOf with shards<=1 must map everything to shard 0")
-	}
-}
-
 // TestTransferTracedZeroAllocs pins the traced bus leg: with a recorder
 // attached (ring already wrapped), a transfer records its wait and leg
 // spans, dummy-suffixed names included, without allocating.

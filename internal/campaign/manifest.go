@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"obfusmem/internal/sim"
@@ -101,8 +102,9 @@ func (m Manifest) Defaulted() Manifest {
 }
 
 // Validate rejects manifests that could not execute: unknown schemes or
-// workloads, non-positive request counts, or empty axes. Called before any
-// journal state is created so a bad manifest fails fast.
+// workloads, non-positive request counts, empty axes, or a deadline too
+// large to represent. Called before any journal state is created so a bad
+// manifest fails fast.
 func (m Manifest) Validate() error {
 	if m.Requests <= 0 {
 		return fmt.Errorf("campaign manifest: requests must be positive, got %d", m.Requests)
@@ -127,6 +129,11 @@ func (m Manifest) Validate() error {
 		if r < 0 || r >= 1 {
 			return fmt.Errorf("campaign manifest: fault rate %g outside [0,1)", r)
 		}
+	}
+	// The per-cell deadline is requests × this; an overflow to +Inf would
+	// make the cell identity unhashable (JSON has no infinity).
+	if math.IsInf(m.DeadlineNSPerRequest*float64(m.Requests), 0) {
+		return fmt.Errorf("campaign manifest: deadlineNSPerRequest %g × %d requests overflows", m.DeadlineNSPerRequest, m.Requests)
 	}
 	return nil
 }

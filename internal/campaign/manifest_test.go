@@ -105,6 +105,9 @@ func TestManifestValidation(t *testing.T) {
 		{"bad scheme", func(m *Manifest) { m.Schemes = []string{"rot13"} }, "unknown scheme"},
 		{"bad workload", func(m *Manifest) { m.Workloads = []string{"doom"} }, "doom"},
 		{"bad rate", func(m *Manifest) { m.FaultRates = []float64{1.5} }, "outside [0,1)"},
+		// Found by FuzzParseManifest: requests × deadline overflowed to +Inf
+		// and Cells() panicked hashing the cell identity.
+		{"overflowing deadline", func(m *Manifest) { m.DeadlineNSPerRequest = 1e308 }, "overflows"},
 	}
 	for _, tc := range cases {
 		m := testManifest()

@@ -342,51 +342,6 @@ func (c *Controller) DropDummy(at sim.Time, channel int) {
 	c.tr.rec.Instant(trace.ChannelPID(channel), c.tr.ctl, c.tr.dummyDropped, at)
 }
 
-// Lane is a single-channel view of the controller: the slice of state one
-// shard may touch in a sharded run. All of its methods operate on
-// channel-indexed state only (per-channel stats, the channel's PCM device,
-// the channel's Start-Gap levellers, atomic metric counters), so lanes for
-// distinct channels are safe to drive from distinct shard workers.
-//
-//obfus:owned
-type Lane struct {
-	c  *Controller
-	ch int
-}
-
-// Lane narrows the controller to one channel and pins the channel's PCM
-// device to the given shard. It panics when the controller has a trace
-// recorder attached (the span buffer is shared mutable state a sharded run
-// must not touch) or when the device is already pinned to another shard.
-func (c *Controller) Lane(channel, shard int) *Lane {
-	if channel < 0 || channel >= c.cfg.Channels {
-		panic(fmt.Sprintf("memctl: lane channel %d of %d", channel, c.cfg.Channels))
-	}
-	if c.tr.rec != nil {
-		panic("memctl: lanes require an untraced controller (the trace recorder is shared state)")
-	}
-	c.devices[channel].SetOwner(shard)
-	return &Lane{c: c, ch: channel}
-}
-
-// Channel returns the lane's channel index.
-func (l *Lane) Channel() int { return l.ch }
-
-// Access services one request on the lane's channel (the address must map
-// there).
-func (l *Lane) Access(at sim.Time, addr uint64, write bool) sim.Time {
-	return l.c.AccessOnChannel(at, l.ch, addr, write)
-}
-
-// DropDummy records a discarded fixed-address dummy on the lane's channel.
-func (l *Lane) DropDummy(at sim.Time) { l.c.DropDummy(at, l.ch) }
-
-// Stats returns a copy of the lane's channel counters.
-func (l *Lane) Stats() ChannelStats { return l.c.stats[l.ch] }
-
-// Device returns the lane's PCM device.
-func (l *Lane) Device() *pcm.Device { return l.c.devices[l.ch] }
-
 // Stats returns a copy of the per-channel counters.
 func (c *Controller) Stats() []ChannelStats {
 	out := make([]ChannelStats, len(c.stats))
