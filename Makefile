@@ -1,20 +1,24 @@
 # Build/verify targets for the ObfusMem reproduction.
 #
 #   make check   - tier-1 verify: build + full test suite
-#   make vet     - static analysis
+#   make vet     - static analysis: go vet, and fails if any tracked
+#                  non-testdata .go file is not gofmt-clean
 #   make race    - test suite under the race detector in -short mode
 #                  (runSuite's parallel fan-out, the shared metrics registry,
 #                  and every concurrent test path; -short keeps CI runtime
 #                  bounded and skips wall-clock assertions that race
 #                  instrumentation would distort)
 #   make race-full - the complete suite under the race detector
-#   make bench   - the evaluation benchmark harness, plus the wall-clock
-#                  perf-trajectory gates of TestEmitBenchTrajectory, which
-#                  rewrite the BENCH_*.json snapshot (built only under
+#   make bench PR=<n> - the evaluation benchmark harness, plus the
+#                  wall-clock perf-trajectory gates of TestEmitBenchTrajectory,
+#                  which write BENCH_PR<n>.json and compare it with the newest
+#                  earlier snapshot from the same hardware (built only under
 #                  -tags benchtraj, so go test ./... never runs them)
 #   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
 #                  obfus datapath, MD5 MAC and AES pad kernels, trace
-#                  recorder spans and request scope, traced bus leg) plus short
+#                  recorder spans and request scope, traced bus leg, core
+#                  model drive loop, workload stream, with the Pareto
+#                  sampler's differential seeds) plus short
 #                  benchmarks of the event engine and the obfus datapath;
 #                  fails if the alloc guards regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
@@ -38,6 +42,7 @@
 #                  a run")
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: check vet lint lint-fix race race-full bench bench-smoke campaign-smoke profile ci trace-demo
 
@@ -47,6 +52,10 @@ check:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l $$(git ls-files '*.go' | grep -v testdata)); \
+	if [ -n "$$unformatted" ]; then \
+		echo "vet: not gofmt-clean (run make lint-fix):"; echo "$$unformatted"; exit 1; \
+	fi
 
 lint:
 	$(GO) build ./...
@@ -63,7 +72,7 @@ lint:
 	fi
 
 lint-fix:
-	gofmt -w $$(git ls-files '*.go' | grep -v testdata)
+	$(GOFMT) -w $$(git ls-files '*.go' | grep -v testdata)
 	$(MAKE) lint
 
 race:
@@ -73,12 +82,13 @@ race-full:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -tags benchtraj -run TestEmitBenchTrajectory -bench . -benchmem .
+	@if [ -z "$(PR)" ]; then echo "usage: make bench PR=<n> (writes BENCH_PR<n>.json)"; exit 2; fi
+	$(GO) test -tags benchtraj -run TestEmitBenchTrajectory -bench . -benchmem . -args -pr=$(PR)
 
 bench-smoke:
-	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs|TestSpanZeroAllocs|TestRequestCycleZeroAllocs|TestTransferTracedZeroAllocs' \
+	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs|TestSpanZeroAllocs|TestRequestCycleZeroAllocs|TestTransferTracedZeroAllocs|TestRunZeroAllocsPerRequest|TestStreamNextZeroAllocs|FuzzBoundedParetoMatchesSpec' \
 		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg' \
-		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/md5sim ./internal/aes ./internal/trace ./internal/bus
+		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/md5sim ./internal/aes ./internal/trace ./internal/bus ./internal/cpu ./internal/workload ./internal/xrand
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null

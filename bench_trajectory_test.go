@@ -3,18 +3,23 @@
 // Perf-trajectory snapshot: TestEmitBenchTrajectory measures wall-clock
 // simulator cost (event engine, per-scheme ns/request, metrics, tracing,
 // recovery, leakage and campaign overheads) and writes the
-// BENCH_*.json snapshot. Wall-clock gates are meaningless on shared or
+// BENCH_PR<n>.json snapshot. Wall-clock gates are meaningless on shared or
 // loaded hardware and the snapshot is a tracked file, so this file is built
 // only under the benchtraj tag:
 //
-//	go test -tags benchtraj -run TestEmitBenchTrajectory .   (make bench)
+//	go test -tags benchtraj -run TestEmitBenchTrajectory . -args -pr=<n>   (make bench PR=<n>)
 package obfusmem_test
 
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,15 +41,57 @@ import (
 	"obfusmem/internal/xrand"
 )
 
-// benchTrajectoryFile is this PR's entry in the BENCH_*.json perf
-// trajectory: one machine-readable snapshot per PR, committed at the repo
-// root, so simulator throughput and headline model numbers can be compared
-// across the PR sequence. benchPrevTrajectoryFile is the preceding PR's
-// committed snapshot, used as the regression baseline.
-const (
-	benchTrajectoryFile     = "BENCH_PR9.json"
-	benchPrevTrajectoryFile = "BENCH_PR8.json"
-)
+// benchPR selects this PR's entry in the BENCH_*.json perf trajectory:
+// one machine-readable snapshot per PR, BENCH_PR<n>.json, committed at the
+// repo root so simulator throughput and headline model numbers can be
+// compared across the PR sequence (make bench PR=<n>).
+var benchPR = flag.Int("pr", 0, "write BENCH_PR<n>.json for PR number n")
+
+// hardware fingerprints the machine a snapshot was measured on. Wall-clock
+// numbers are compared only between snapshots with equal fingerprints.
+type hardware struct {
+	CPU        string `json:"cpu"`
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func hostHardware() hardware {
+	hw := hardware{CPU: runtime.GOARCH, Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Go: runtime.Version()}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, l := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(l, ":"); ok && strings.TrimSpace(k) == "model name" {
+				hw.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return hw
+}
+
+// previousSnapshot returns the newest committed BENCH_PR<k>.json with
+// k < pr measured on hardware hw, and its file name; ok is false if there
+// is none (snapshots older than the fingerprint never match).
+func previousSnapshot(pr int, hw hardware) (prev trajectory, name string, ok bool) {
+	files, _ := filepath.Glob("BENCH_PR*.json")
+	newest := 0
+	for _, f := range files {
+		k, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(f, "BENCH_PR"), ".json"))
+		if err != nil || k >= pr || k <= newest {
+			continue
+		}
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			continue
+		}
+		var t trajectory
+		if json.Unmarshal(raw, &t) != nil || t.Hardware != hw {
+			continue
+		}
+		prev, name, newest, ok = t, f, k, true
+	}
+	return prev, name, ok
+}
 
 // trajectoryRun is one wall-clock measurement in the trajectory file.
 type trajectoryRun struct {
@@ -56,7 +103,7 @@ type trajectoryRun struct {
 // trajectory is the BENCH_*.json schema.
 type trajectory struct {
 	PR       int             `json:"pr"`
-	Label    string          `json:"label"`
+	Hardware hardware        `json:"hardware"`
 	Go       string          `json:"go"`
 	GOOS     string          `json:"goos"`
 	GOARCH   string          `json:"goarch"`
@@ -73,7 +120,8 @@ type trajectory struct {
 	LeakageOverheadPct    float64 `json:"leakage_overhead_pct"`          // observer + leakage evaluation on vs off, same run
 	CampaignOverheadPct   float64 `json:"campaign_overhead_pct"`         // journaled campaign per cell vs raw same-cell loop
 	CampaignOverheadPerMS float64 `json:"campaign_overhead_ms_per_cell"` // absolute per-cell durability tax (hash + fsync'd commit + merge share)
-	VsPrevPct             float64 `json:"vs_prev_pct"`                   // nil-off ns/request vs previous PR's snapshot
+	VsPrevPct             float64 `json:"vs_prev_pct"`                   // nil-off ns/request vs VsPrev
+	VsPrev                string  `json:"vs_prev,omitempty"`             // newest earlier snapshot from the same hardware
 
 	// Engine compares the free-list event engine against the frozen
 	// pre-rework boxed container/heap baseline (sim.BaselineEngine) on the
@@ -303,13 +351,16 @@ func TestEmitBenchTrajectory(t *testing.T) {
 		// (-race instrumentation in particular inflates them several-fold).
 		t.Skip("trajectory snapshot needs undisturbed wall-clock runs")
 	}
+	if *benchPR <= 0 {
+		t.Fatal("no snapshot to write: run with -args -pr=<n> (make bench PR=<n>)")
+	}
 	const n, reps = 3000, 3
 	traj := trajectory{
-		PR:     9,
-		Label:  "sharded intra-run simulation: per-channel event queues with conservative lookahead synchronization",
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
+		PR:       *benchPR,
+		Hardware: hostHardware(),
+		Go:       runtime.Version(),
+		GOOS:     runtime.GOOS,
+		GOARCH:   runtime.GOARCH,
 	}
 
 	// Event-engine before/after on identical churn. The engine rework aimed
@@ -413,23 +464,23 @@ func TestEmitBenchTrajectory(t *testing.T) {
 		t.Errorf("campaign orchestration tax %.1fms per cell, want fixed low-single-digit ms (hash + fsync'd commit)", traj.CampaignOverheadPerMS)
 	}
 
-	// Nil-off regression vs the previous PR's committed snapshot: the
-	// tracing hooks must be free when disabled (<2% target). Wall clock on
-	// shared hardware swings far more than 2% run to run, so the hard error
-	// fires only on a gross (>50%) regression; the honest delta is recorded
-	// in the snapshot.
-	if raw, err := os.ReadFile(benchPrevTrajectoryFile); err == nil {
-		var prev trajectory
-		if err := json.Unmarshal(raw, &prev); err == nil {
-			for _, r := range prev.Runs {
-				if r.Name == "obfusmem-auth/milc" && r.NSPerRequest > 0 {
-					traj.VsPrevPct = (obfNS - r.NSPerRequest) / r.NSPerRequest * 100
-					if traj.VsPrevPct > 50 {
-						t.Errorf("nil-off ns/request regressed %.1f%% vs %s", traj.VsPrevPct, benchPrevTrajectoryFile)
-					}
+	// Nil-off regression vs the newest earlier snapshot from the same
+	// hardware: the tracing hooks must be free when disabled (<2% target).
+	// Wall clock on shared hardware swings far more than 2% run to run, so
+	// the hard error fires only on a gross (>50%) regression; the honest
+	// delta is recorded in the snapshot.
+	if prev, name, ok := previousSnapshot(traj.PR, traj.Hardware); ok {
+		for _, r := range prev.Runs {
+			if r.Name == "obfusmem-auth/milc" && r.NSPerRequest > 0 {
+				traj.VsPrev = name
+				traj.VsPrevPct = (obfNS - r.NSPerRequest) / r.NSPerRequest * 100
+				if traj.VsPrevPct > 50 {
+					t.Errorf("nil-off ns/request regressed %.1f%% vs %s", traj.VsPrevPct, name)
 				}
 			}
 		}
+	} else {
+		t.Logf("no earlier BENCH_PR*.json from this hardware; vs_prev_pct not measured")
 	}
 
 	// Headline model numbers at a stable scale; the timed run doubles as
@@ -448,7 +499,7 @@ func TestEmitBenchTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(benchTrajectoryFile, append(raw, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(fmt.Sprintf("BENCH_PR%d.json", traj.PR), append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"encoding/binary"
+
 	"obfusmem/internal/bus"
 	"obfusmem/internal/memctl"
 	"obfusmem/internal/metrics"
@@ -22,6 +24,17 @@ type Plain struct {
 	seq  uint64
 	acct Accounting
 	lost *metrics.Counter
+
+	// cmd and reply are the one command and one reply packet a transfer
+	// puts on the bus. Transfers are synchronous and every interception
+	// point on the bus (observers, tamperers, fault injectors) copies
+	// rather than retains, so both are dead once transfer returns and are
+	// reset on the next call, like the obfus and palermo packet arenas.
+	cmd, reply bus.Packet
+	// zeroData is the payload of every data-carrying packet (contents are
+	// elided). Fault injection and tampering corrupt copies, never the
+	// sender's buffer, so both packets can alias it.
+	zeroData [bus.DataBytes]byte
 }
 
 // NewPlain builds the baseline datapath. Exported for the conformance
@@ -45,18 +58,16 @@ func (p *Plain) transfer(at sim.Time, addr uint64, write bool) sim.Time {
 	if write {
 		t = bus.Write
 	}
-	var cmd [bus.CmdBytes]byte
-	cmd[0] = byte(t)
-	for i := 0; i < 8; i++ {
-		cmd[1+i] = byte(addr >> (56 - 8*uint(i)))
-	}
-	pkt := &bus.Packet{
-		Channel: ch, Dir: bus.ProcToMem, CmdCipher: cmd, HasCmd: true,
+	pkt := &p.cmd
+	*pkt = bus.Packet{
+		Channel: ch, Dir: bus.ProcToMem, HasCmd: true,
 		Type: t, Addr: addr, Plaintext: true, Seq: p.seq,
 	}
+	pkt.CmdCipher[0] = byte(t)
+	binary.BigEndian.PutUint64(pkt.CmdCipher[1:9], addr)
 	p.seq++
 	if write {
-		pkt.Data = make([]byte, bus.DataBytes)
+		pkt.Data = p.zeroData[:]
 	}
 	arrive, delivered := p.bus.Transfer(at, pkt)
 	if delivered == nil {
@@ -69,8 +80,9 @@ func (p *Plain) transfer(at sim.Time, addr uint64, write bool) sim.Time {
 		p.acct.Completed++
 		return done
 	}
-	reply := &bus.Packet{
-		Channel: ch, Dir: bus.MemToProc, Data: make([]byte, bus.DataBytes),
+	reply := &p.reply
+	*reply = bus.Packet{
+		Channel: ch, Dir: bus.MemToProc, Data: p.zeroData[:],
 		Type: bus.Read, Addr: addr, Plaintext: true,
 	}
 	replyArrive, replyDelivered := p.bus.Transfer(done, reply)
@@ -121,13 +133,13 @@ func init() {
 	Register(&Descriptor{
 		Name:     "unprotected",
 		Doc:      "plaintext commands, addresses, and data on the bus (Table 3 baseline)",
-		Features: Features{},
+		Features: Features{HotPath: true},
 		New:      func(ctx Context) (Backend, error) { return NewPlain(ctx), nil },
 	})
 	Register(&Descriptor{
 		Name:     "encrypt-only",
 		Doc:      "counter-mode memory encryption over the plain bus (Figure 4's first step)",
-		Features: Features{AtRest: true, CounterFetch: FetchSelf, Integrity: true},
+		Features: Features{AtRest: true, CounterFetch: FetchSelf, Integrity: true, HotPath: true},
 		New:      func(ctx Context) (Backend, error) { return NewPlain(ctx), nil },
 	})
 }

@@ -138,7 +138,9 @@ func (p *Packet) WireBytes() int {
 }
 
 // Observer receives a copy of every packet on a tapped channel, with the
-// time the transfer started. Observers must not mutate the packet.
+// time the transfer started. Observers must not mutate the packet, and must
+// copy whatever they keep: senders reuse their packets once Transfer
+// returns.
 type Observer interface {
 	Observe(at sim.Time, p *Packet)
 }
@@ -149,8 +151,11 @@ type ObserverFunc func(at sim.Time, p *Packet)
 // Observe implements Observer.
 func (f ObserverFunc) Observe(at sim.Time, p *Packet) { f(at, p) }
 
-// Tamperer can mutate, drop, or replace packets in flight. Returning nil
-// drops the packet. Returning a different packet substitutes it.
+// Tamperer can modify, drop, or replace packets in flight. Returning nil
+// drops the packet. Returning a different packet substitutes it. It
+// modifies a copy, never the sender's packet, and copies whatever it keeps
+// (a replay source, say): senders reuse their packets once Transfer
+// returns.
 type Tamperer interface {
 	Tamper(at sim.Time, p *Packet) *Packet
 }

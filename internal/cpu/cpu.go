@@ -12,7 +12,6 @@ package cpu
 
 import (
 	"fmt"
-	"sort"
 
 	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
@@ -129,7 +128,9 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 	res := Result{Benchmark: name}
 	rd, wr := cfg.Trace.Name(names.ReqRead), cfg.Trace.Name(names.ReqWrite)
 	now := sim.Time(0)
-	var pendingWrites []sim.Time
+	// Outstanding writeback retirement times, ascending. It never holds
+	// more than WriteBuffer entries, so this is the run's only allocation.
+	pendingWrites := make([]sim.Time, 0, max(cfg.WriteBuffer, 0))
 	var latSum float64
 
 	for i := 0; i < n; i++ {
@@ -150,7 +151,7 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 					res.StallTime += wait - now
 					now = wait
 				}
-				pendingWrites = pendingWrites[1:]
+				pendingWrites = dropFront(pendingWrites, 1)
 			}
 			id := cfg.Trace.BeginRequest(wr, req.Addr, now)
 			done := sys.Write(now, req.Addr)
@@ -187,13 +188,44 @@ func drive(name string, stream requestSource, n int, sys MemorySystem, cfg Confi
 	return res
 }
 
-func pruneBefore(ts []sim.Time, now sim.Time) []sim.Time {
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] > now })
-	return ts[i:]
+// searchAfter returns the index of the first entry of the ascending ts
+// that is later than t (len(ts) if none is).
+//
+//obfus:hotpath
+func searchAfter(ts []sim.Time, t sim.Time) int {
+	lo, hi := 0, len(ts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ts[mid] > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
+// dropFront removes the first n entries of ts by shifting the rest down
+// in place, so the buffer keeps its backing array.
+//
+//obfus:hotpath
+func dropFront(ts []sim.Time, n int) []sim.Time {
+	return ts[:copy(ts, ts[n:])]
+}
+
+// pruneBefore drops the writes retired by now.
+//
+//obfus:hotpath
+func pruneBefore(ts []sim.Time, now sim.Time) []sim.Time {
+	return dropFront(ts, searchAfter(ts, now))
+}
+
+// insertSorted inserts t after every entry not later than it. The caller
+// keeps len(ts) < cap(ts), so the append never grows the buffer.
+//
+//obfus:hotpath
 func insertSorted(ts []sim.Time, t sim.Time) []sim.Time {
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] > t })
+	i := searchAfter(ts, t)
 	ts = append(ts, 0)
 	copy(ts[i+1:], ts[i:])
 	ts[i] = t

@@ -1,11 +1,13 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"obfusmem/internal/cache"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/workload"
+	"obfusmem/internal/xrand"
 )
 
 // fixedLatency is a trivial MemorySystem for unit-testing the core model.
@@ -132,5 +134,53 @@ func TestRunDeterminism(t *testing.T) {
 	b := Run(p, 2000, &fixedLatency{read: 90 * sim.Nanosecond}, DefaultConfig(), 7)
 	if a.ExecTime != b.ExecTime || a.Reads != b.Reads {
 		t.Fatal("Run not deterministic")
+	}
+}
+
+// TestRunZeroAllocsPerRequest pins the core model's allocation contract:
+// one run allocates its write buffer and nothing per request. The memory
+// system and the pre-built stream allocate nothing themselves; slow
+// writes keep the buffer full so the back-pressure path runs too.
+func TestRunZeroAllocsPerRequest(t *testing.T) {
+	p, _ := workload.ByName("lbm")
+	stream := workload.NewStream(p, 8)
+	sys := &fixedLatency{read: 50 * sim.Nanosecond, write: 5 * sim.Microsecond}
+	cfg := Config{Exposure: 0.5, WriteBuffer: 4}
+	var res Result
+	allocs := testing.AllocsPerRun(20, func() { res = drive(p.Name, stream, 2000, sys, cfg) })
+	if allocs != 1 {
+		t.Errorf("a 2000-request run allocates %.2f times, want 1 (the write buffer)", allocs)
+	}
+	if res.Writes == 0 || res.StallTime == 0 {
+		t.Fatalf("run never stalled on the write buffer: %+v", res)
+	}
+}
+
+// TestWriteBufferHelpers checks the in-place buffer helpers against a
+// sorted model of the same ascending multiset.
+func TestWriteBufferHelpers(t *testing.T) {
+	r := xrand.New(3)
+	buf := make([]sim.Time, 0, 8)
+	var model []sim.Time
+	for i := 0; i < 5000; i++ {
+		now := sim.Time(r.Intn(64))
+		buf = pruneBefore(buf, now)
+		kept := model[:0:0]
+		for _, v := range model {
+			if v > now {
+				kept = append(kept, v)
+			}
+		}
+		model = kept
+		if len(buf) == cap(buf) {
+			buf, model = dropFront(buf, 1), model[1:]
+		}
+		v := now + sim.Time(r.Intn(64))
+		buf = insertSorted(buf, v)
+		model = append(model, v)
+		slices.Sort(model)
+		if cap(buf) != 8 || !slices.Equal(buf, model) {
+			t.Fatalf("step %d: buffer %v (cap %d), model %v", i, buf, cap(buf), model)
+		}
 	}
 }

@@ -99,12 +99,12 @@ func TestRecoverPlaintext(t *testing.T) {
 func TestRecoverEncrypted(t *testing.T) {
 	ns := sim.Time(sim.Nanosecond)
 	wire := []attack.Wire{
-		cmdWire(0, 0, 0, false),         // anchor: row 10
-		cmdWire(10*ns, 0, 0, false),     // gap 10 (short) -> hold row 10
-		cmdWire(1010*ns, 0, 0, false),   // anchor: row 12
-		cmdWire(2010*ns, 0, 0, false),   // gap 1000 (long) -> stride +2 -> row 14
-		cmdWire(3010*ns, 0, 0, false),   // anchor: row 14
-		cmdWire(3010*ns, 1, 0, false),   // other channel, no anchor seen -> no guess
+		cmdWire(0, 0, 0, false),       // anchor: row 10
+		cmdWire(10*ns, 0, 0, false),   // gap 10 (short) -> hold row 10
+		cmdWire(1010*ns, 0, 0, false), // anchor: row 12
+		cmdWire(2010*ns, 0, 0, false), // gap 1000 (long) -> stride +2 -> row 14
+		cmdWire(3010*ns, 0, 0, false), // anchor: row 14
+		cmdWire(3010*ns, 1, 0, false), // other channel, no anchor seen -> no guess
 	}
 	anchors := []Anchor{{WireIndex: 0, Row: 10}, {WireIndex: 2, Row: 12}, {WireIndex: 4, Row: 14}}
 	g := RecoverRows(wire, anchors)

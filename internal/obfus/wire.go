@@ -34,11 +34,14 @@ func decodeCmd(b [bus.CmdBytes]byte) (t bus.ReqType, addr uint64) {
 //obfus:public ciphertext after the AES-CTR pad XOR is computationally independent of the plaintext command
 func sealCmd(plain [bus.CmdBytes]byte, pad aes.Pad) [bus.CmdBytes]byte {
 	var out [bus.CmdBytes]byte
-	for i := range plain {
-		out[i] = plain[i] ^ pad[i]
-	}
+	le := binary.LittleEndian
+	le.PutUint64(out[0:8], le.Uint64(plain[0:8])^le.Uint64(pad[0:8]))
+	le.PutUint64(out[8:16], le.Uint64(plain[8:16])^le.Uint64(pad[8:16]))
 	return out
 }
+
+// The command field is one AES block, which sealCmd XORs as two words.
+var _ = [1]struct{}{}[bus.CmdBytes-16]
 
 // openCmd decrypts a command field with one pad (XOR is its own inverse).
 func openCmd(cipher [bus.CmdBytes]byte, pad aes.Pad) (t bus.ReqType, addr uint64) {

@@ -24,6 +24,8 @@
 package palermo
 
 import (
+	"encoding/binary"
+
 	"obfusmem/internal/bus"
 	"obfusmem/internal/memctl"
 	"obfusmem/internal/metrics"
@@ -213,9 +215,7 @@ func (c *Controller) coverAddr() uint64 {
 func sealCmd(p *bus.Packet, addr, seq uint64) {
 	x := xrand.Mix64(addr ^ xrand.Mix64(seq))
 	for i := 0; i < bus.CmdBytes; i += 8 {
-		for j := 0; j < 8; j++ {
-			p.CmdCipher[i+j] = byte(x >> (8 * uint(j)))
-		}
+		binary.LittleEndian.PutUint64(p.CmdCipher[i:], x)
 		x = xrand.Mix64(x)
 	}
 }

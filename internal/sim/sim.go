@@ -36,13 +36,21 @@ const (
 // the nearest picosecond. It panics on invalid input (negative, NaN, or out
 // of range): internal model code computing such a duration is always a bug.
 // Paths fed by external input (trace files, flags) should use TryNanos.
+//
+//obfus:hotpath
 func Nanos(ns float64) Time {
-	t, err := TryNanos(ns)
-	if err != nil {
+	if !(ns >= 0 && ns < maxNanos) { // also catches NaN
+		_, err := TryNanos(ns)
 		panic("sim: " + err.Error())
 	}
-	return t
+	return fromNanos(ns)
 }
+
+// fromNanos is the rounding conversion shared by Nanos and TryNanos, for
+// an already validated quantity.
+//
+//obfus:hotpath
+func fromNanos(ns float64) Time { return Time(ns*float64(Nanosecond) + 0.5) }
 
 // maxNanos is the largest nanosecond quantity representable as Time without
 // overflowing int64 picoseconds.
@@ -62,7 +70,7 @@ func TryNanos(ns float64) (Time, error) {
 	if ns >= maxNanos {
 		return 0, fmt.Errorf("duration %gns overflows the picosecond clock", ns)
 	}
-	return Time(ns*float64(Nanosecond) + 0.5), nil
+	return fromNanos(ns), nil
 }
 
 // Float64Nanos reports t in nanoseconds.

@@ -117,6 +117,9 @@ type Stream struct {
 	gapMean   float64
 	rowBytes  uint64
 	footprint uint64
+	// stride draws jump distances in blocks: at least one row, at most
+	// the footprint.
+	stride xrand.BoundedPareto
 }
 
 // Baseline stall model: the measured Table 1 gap on the unprotected
@@ -155,6 +158,7 @@ func NewStream(p Profile, seed uint64) *Stream {
 		rowBytes:  1024,
 		footprint: fp,
 	}
+	s.stride = xrand.NewBoundedPareto(1.1, float64(s.rowBytes/64), float64(s.footprint/64))
 	s.lastAddr = (s.rng.Uint64() % s.footprint) &^ 63
 	return s
 }
@@ -163,6 +167,8 @@ func NewStream(p Profile, seed uint64) *Stream {
 func (s *Stream) Profile() Profile { return s.p }
 
 // Next produces the next request.
+//
+//obfus:hotpath
 func (s *Stream) Next() Request {
 	gap := sim.Nanos(s.rng.Exp(s.gapMean))
 	var addr uint64
@@ -173,7 +179,7 @@ func (s *Stream) Next() Request {
 	} else {
 		// Jump: heavy-tailed stride within the footprint, at least one
 		// row away so jumps genuinely leave the open row.
-		stride := uint64(s.rng.Pareto(1.1, float64(s.rowBytes/64), float64(s.footprint/64))) * 64
+		stride := uint64(s.stride.Sample(s.rng)) * 64
 		if s.rng.Bool() && stride < s.lastAddr {
 			addr = s.lastAddr - stride
 		} else {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -150,5 +152,37 @@ func TestStreamGapIsTime(t *testing.T) {
 		if g := s.Next().Gap; g < 0 || g > sim.Millisecond {
 			t.Fatalf("implausible gap %v", g)
 		}
+	}
+}
+
+func TestStreamNextZeroAllocs(t *testing.T) {
+	p, _ := ByName("mcf") // low row locality: mostly Pareto jumps
+	s := NewStream(p, 5)
+	if allocs := testing.AllocsPerRun(1000, func() { s.Next() }); allocs != 0 {
+		t.Errorf("Stream.Next allocates %.2f times per request, want 0", allocs)
+	}
+}
+
+// TestStreamGolden pins every profile's request sequence: a digest of the
+// first 4096 requests at seed 42, recorded before the stride sampler's
+// constants were precomputed per stream.
+func TestStreamGolden(t *testing.T) {
+	h := fnv.New64a()
+	var b [17]byte
+	for _, p := range SPEC2006() {
+		s := NewStream(p, 42)
+		for i := 0; i < 4096; i++ {
+			r := s.Next()
+			binary.LittleEndian.PutUint64(b[0:], uint64(r.Gap))
+			binary.LittleEndian.PutUint64(b[8:], r.Addr)
+			b[16] = 0
+			if r.Write {
+				b[16] = 1
+			}
+			h.Write(b[:])
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xe4e0289c9113ef1d); got != want {
+		t.Errorf("request-stream digest %#x, want %#x", got, want)
 	}
 }

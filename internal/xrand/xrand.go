@@ -109,14 +109,20 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 }
 
 // Float64 returns a uniform float in [0, 1).
+//
+//obfus:hotpath
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
 // Bool returns a fair coin flip.
+//
+//obfus:hotpath
 func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
 
 // Prob returns true with probability p (clamped to [0,1]).
+//
+//obfus:hotpath
 func (r *Rand) Prob(p float64) bool {
 	if p <= 0 {
 		return false
@@ -128,6 +134,8 @@ func (r *Rand) Prob(p float64) bool {
 }
 
 // Exp returns an exponentially distributed value with the given mean.
+//
+//obfus:hotpath
 func (r *Rand) Exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
@@ -151,16 +159,36 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// Pareto returns a bounded Pareto-distributed value in [lo, hi] with shape
-// alpha. It is used to model heavy-tailed spatial strides in workloads.
-func (r *Rand) Pareto(alpha, lo, hi float64) float64 {
+// BoundedPareto is a bounded Pareto distribution on [lo, hi] with shape
+// alpha, used to model heavy-tailed spatial strides in workloads. The
+// powers of the bounds are computed once, so each Sample costs one
+// math.Pow.
+type BoundedPareto struct {
+	la, ha, hl, e float64
+}
+
+// NewBoundedPareto precomputes the constants of a bounded Pareto
+// distribution. It panics unless 0 < lo < hi.
+func NewBoundedPareto(alpha, lo, hi float64) BoundedPareto {
 	if lo <= 0 || hi <= lo {
 		panic("xrand: invalid Pareto bounds")
 	}
-	u := r.Float64()
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return BoundedPareto{la: la, ha: ha, hl: ha * la, e: -1 / alpha}
+}
+
+// Sample draws one value by inverting the CDF at a uniform u.
+//
+// The expression and its operation order are part of the golden-output
+// contract: workloads truncate the sample to an integer stride, so an
+// algebraically equal rewrite that moves the result by one ulp can move an
+// address and change results_full.txt.
+//
+//obfus:hotpath
+func (d *BoundedPareto) Sample(r *Rand) float64 {
+	u := r.Float64()
+	return math.Pow(-(u*d.ha-u*d.la-d.ha)/d.hl, d.e)
 }
 
 // Bytes fills p with random bytes.

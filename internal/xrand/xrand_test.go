@@ -136,11 +136,22 @@ func TestNormMoments(t *testing.T) {
 
 func TestParetoBounds(t *testing.T) {
 	r := New(17)
+	d := NewBoundedPareto(1.2, 1, 1024)
 	for i := 0; i < 10000; i++ {
-		v := r.Pareto(1.2, 1, 1024)
+		v := d.Sample(r)
 		if v < 1 || v > 1024 {
 			t.Fatalf("Pareto out of bounds: %v", v)
 		}
+	}
+	for _, b := range [][2]float64{{0, 8}, {-1, 8}, {8, 8}, {8, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBoundedPareto(1.2, %v, %v) did not panic", b[0], b[1])
+				}
+			}()
+			NewBoundedPareto(1.2, b[0], b[1])
+		}()
 	}
 }
 
