@@ -15,11 +15,13 @@
 #                  earlier snapshot from the same hardware (built only under
 #                  -tags benchtraj, so go test ./... never runs them)
 #   make bench-smoke - fast perf gate: the zero-alloc guards (event engine,
-#                  obfus datapath, MD5 MAC and AES pad kernels, trace
+#                  obfus datapath on an untapped and on an observed bus,
+#                  MD5 MAC and AES pad kernels, trace
 #                  recorder spans and request scope, traced bus leg, core
 #                  model drive loop, workload stream, with the Pareto
 #                  sampler's differential seeds) plus short
-#                  benchmarks of the event engine and the obfus datapath;
+#                  benchmarks of the event engine and the obfus datapath
+#                  (untapped and observed);
 #                  fails if the alloc guards regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
@@ -86,8 +88,8 @@ bench:
 	$(GO) test -tags benchtraj -run TestEmitBenchTrajectory -bench . -benchmem . -args -pr=$(PR)
 
 bench-smoke:
-	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs|TestSpanZeroAllocs|TestRequestCycleZeroAllocs|TestTransferTracedZeroAllocs|TestRunZeroAllocsPerRequest|TestStreamNextZeroAllocs|FuzzBoundedParetoMatchesSpec' \
-		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg' \
+	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestReadWriteLegObservedZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs|TestSpanZeroAllocs|TestRequestCycleZeroAllocs|TestTransferTracedZeroAllocs|TestRunZeroAllocsPerRequest|TestStreamNextZeroAllocs|FuzzBoundedParetoMatchesSpec' \
+		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg|BenchmarkReadWriteLegObserved' \
 		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/md5sim ./internal/aes ./internal/trace ./internal/bus ./internal/cpu ./internal/workload ./internal/xrand
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null

@@ -335,6 +335,14 @@ func (b *Bus) SetTamperer(t Tamperer) { b.tamperer = t }
 // applies after the tamperer, to the signal actually on the wire.
 func (b *Bus) SetFaultInjector(f FaultInjector) { b.faults = f }
 
+// Intercepted reports whether anything can see or alter a packet in flight:
+// an observer, a tamperer, or a fault injector. When it is false, Transfer
+// delivers the sender's own packet untouched, so fields only an intercept
+// point reads (CmdCipher, MAC) never leave the sender.
+func (b *Bus) Intercepted() bool {
+	return len(b.observers) > 0 || b.tamperer != nil || b.faults != nil
+}
+
 // TransferTime returns the link occupancy of n bytes.
 func (b *Bus) TransferTime(n int) sim.Time {
 	return sim.Time(float64(n)*b.psPerByte + 0.5)

@@ -535,10 +535,6 @@ func (c *Controller) dummyAddrFor(cs *chanState, realAddr uint64, ch int) uint64
 	}
 }
 
-// sendPacket encrypts (functionally), MACs, and transfers one request
-// packet; it returns the memory-side decode-complete time and the packet as
-// delivered (nil if dropped in flight). readyAt is when the packet may
-// first occupy the bus.
 // sealPayload transit-encrypts a value-carrying payload (nil passthrough).
 //
 //obfus:public ciphertext after AES-CTR transit encryption is computationally independent of the payload
@@ -549,15 +545,19 @@ func (c *Controller) sealPayload(cs *chanState, ch int, padBase uint64, data *me
 	return c.transitSealRequest(cs, ch, padBase, data)
 }
 
+// sendPacket builds, MACs, and transfers one request packet; it returns
+// the arrival time and the packet as delivered (nil if dropped in flight).
+// readyAt is when the packet may first occupy the bus. The command
+// ciphertext and MAC bytes are computed only when a bus intercept point can
+// read them; otherwise the packet reaches memDecodeSlot untouched and they
+// are rebuilt there only if it meets a counter mismatch. The wire size, the
+// MAC count, and all timing are the same either way.
 func (c *Controller) sendPacket(cs *chanState, ch int, readyAt sim.Time,
 	t bus.ReqType, addr uint64, isDummy bool, withData bool, padCtr uint64, payload []byte) (sim.Time, *bus.Packet) {
 
-	plain := encodeCmd(t, addr)
-	pad := cs.procReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: padCtr})
 	pkt := c.newPacket()
 	pkt.Channel = ch
 	pkt.Dir = bus.ProcToMem
-	pkt.CmdCipher = sealCmd(plain, pad)
 	pkt.HasCmd = true
 	pkt.Type = t
 	pkt.Addr = addr
@@ -574,12 +574,25 @@ func (c *Controller) sendPacket(cs *chanState, ch int, readyAt sim.Time,
 	}
 	if c.cfg.MAC != MACNone {
 		pkt.HasMAC = true
-		pkt.MAC = uint64(md5sim.Compute(byte(t), addr, padCtr))
 		c.stats.MACsComputed++
 		c.met.macsComputed.Inc()
 	}
+	if c.bus.Intercepted() {
+		c.sealRequest(cs, pkt)
+	}
 	arrive, delivered := c.bus.Transfer(readyAt, pkt)
 	return arrive, delivered
+}
+
+// sealRequest fills a request packet's wire view from its ground truth:
+// the command field encrypted under the processor-side pad at the packet's
+// counter and, when the packet is tagged, its MAC.
+func (c *Controller) sealRequest(cs *chanState, pkt *bus.Packet) {
+	pad := cs.procReqEng.CTR().Pad(aes.IV{ID: uint64(pkt.Channel), Counter: pkt.Counter})
+	pkt.CmdCipher = sealCmd(encodeCmd(pkt.Type, pkt.Addr), pad)
+	if pkt.HasMAC {
+		pkt.MAC = uint64(md5sim.Compute(byte(pkt.Type), pkt.Addr, pkt.Counter))
+	}
 }
 
 // memSlot returns the pad counter the memory side uses for the next command
@@ -620,17 +633,31 @@ func (c *Controller) memDecode(cs *chanState, ch int, arrive sim.Time, delivered
 
 // memDecodeSlot is memDecode at an explicit pad counter; retransmissions
 // use it after a resync handshake has agreed the slot out of band.
+//
+// With nothing intercepting the bus, delivered is the sender's packet,
+// untouched and unsealed. At the sender's counter, opening it and checking
+// its MAC would return its own type and address and accept, so that
+// identity is taken directly; at any other counter the wire view is
+// rebuilt first and the full path detects the desync as on a tapped bus.
 func (c *Controller) memDecodeSlot(cs *chanState, ch int, arrive sim.Time, delivered *bus.Packet, ctr uint64) (t bus.ReqType, addr uint64, decodeDone sim.Time, ok bool) {
-	pad := cs.memReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
 	decodeDone = pregenReady(cs.memReqEng, arrive, 1) + SerDesLatency
-	t, addr = openCmd(delivered.CmdCipher, pad)
 	if c.tr.rec != nil {
 		c.tr.rec.Span(trace.ChannelPID(ch), c.tr.memAES, trace.CatCrypto, c.tr.memDecode,
 			arrive, decodeDone, trace.Uint(trace.KeyCtr, ctr), trace.Bool(trace.KeyDummy, delivered.IsDummy))
 	}
 	if c.cfg.MAC != MACNone {
-		expect := uint64(md5sim.Compute(byte(t), addr, ctr))
 		cs.memMAC.Issue(arrive) // verification digest (off the PCM critical path)
+	}
+	if !c.bus.Intercepted() {
+		if ctr == delivered.Counter {
+			return delivered.Type, delivered.Addr, decodeDone, true
+		}
+		c.sealRequest(cs, delivered)
+	}
+	pad := cs.memReqEng.CTR().Pad(aes.IV{ID: uint64(ch), Counter: ctr})
+	t, addr = openCmd(delivered.CmdCipher, pad)
+	if c.cfg.MAC != MACNone {
+		expect := uint64(md5sim.Compute(byte(t), addr, ctr))
 		if expect != delivered.MAC {
 			c.stats.TamperDetected++
 			c.met.tamperDetected.Inc()
@@ -678,9 +705,12 @@ func (c *Controller) replyData(cs *chanState, ch int, readyAt sim.Time, forDummy
 		pkt.Counter = cs.respCtr
 		cs.respCtr += 4
 	}
+	sealed := c.bus.Intercepted()
 	if c.cfg.MAC != MACNone {
 		pkt.HasMAC = true
-		pkt.MAC = uint64(md5sim.Compute(byte(bus.Read), reqAddr, pkt.Counter))
+		if sealed {
+			pkt.MAC = uint64(md5sim.Compute(byte(bus.Read), reqAddr, pkt.Counter))
+		}
 		c.stats.MACsComputed++
 		c.met.macsComputed.Inc()
 		sendReady = macReplyReady(cs.memMAC, c.cfg.MAC, decodeAt, sendReady)
@@ -711,6 +741,14 @@ func (c *Controller) replyData(cs *chanState, ch int, readyAt sim.Time, forDummy
 	}
 	if c.cfg.MAC != MACNone {
 		cs.procVerMAC.Issue(arrive)
+		if !sealed {
+			// The sender's own packet: its tag verifies exactly when the
+			// counters agree.
+			if ctr == delivered.Counter {
+				return done, true
+			}
+			delivered.MAC = uint64(md5sim.Compute(byte(bus.Read), delivered.Addr, delivered.Counter))
+		}
 		expect := uint64(md5sim.Compute(byte(bus.Read), delivered.Addr, ctr))
 		if expect != delivered.MAC || ctr != delivered.Counter {
 			c.stats.TamperDetected++

@@ -62,6 +62,7 @@ func (c *Controller) WriteData(at sim.Time, addr uint64, atRestReady sim.Time, d
 	ch := c.ChannelOf(addr)
 	cs := c.chans[ch]
 	c.stats.RealWrites++
+	c.met.realWrites.Inc()
 	if cs.quarantined {
 		c.legFailed(false, true)
 		return at
@@ -83,6 +84,7 @@ func (c *Controller) ReadData(at sim.Time, addr uint64) (memctl.Block, sim.Time,
 	ch := c.ChannelOf(addr)
 	cs := c.chans[ch]
 	c.stats.RealReads++
+	c.met.realReads.Inc()
 	if cs.quarantined {
 		c.legFailed(false, true)
 		return memctl.Block{}, at, false
@@ -92,14 +94,10 @@ func (c *Controller) ReadData(at sim.Time, addr uint64) (memctl.Block, sim.Time,
 	}
 	c.injectInterChannel(at, ch)
 
-	at2 := c.frontEnd.Acquire(at, FrontEndTime) + FrontEndTime
+	at = c.acquireFrontEnd(at)
 	padBase := cs.reqCtr
 	cs.reqCtr += 6
-	encReady := pregenReady(cs.procReqEng, at2, 6)
-	sendReady := macRequestReady(cs.procMAC, c.cfg.MAC, at2, encReady)
-	if c.cfg.MAC != MACNone {
-		macRequestReady(cs.procMAC, c.cfg.MAC, at2, encReady)
-	}
+	_, sendReady := c.requestCrypto(cs, ch, at, 6, true, true)
 	readH := half{t: bus.Read, addr: addr, dummy: false, withData: false, ready: sendReady, wantData: true}
 	writeH := half{t: bus.Write, addr: c.dummyAddrFor(cs, addr, ch), dummy: true, withData: true, ready: sendReady}
 	readDone, readOK, _ := c.issuePair(cs, ch, padBase, readH, writeH)

@@ -413,13 +413,14 @@ func (c *Controller) PadsMem() uint64 {
 	return n
 }
 
-// CryptoEnergyPJ returns total AES+MD5 energy across both sides.
+// CryptoEnergyPJ returns total AES+MD5 energy across both sides: all four
+// AES engines and all three MD5 units of every channel.
 func (c *Controller) CryptoEnergyPJ() float64 {
 	var e float64
 	for _, cs := range c.chans {
 		e += cs.procReqEng.EnergyPJ() + cs.procRespEng.EnergyPJ()
 		e += cs.memReqEng.EnergyPJ() + cs.memRespEng.EnergyPJ()
-		e += cs.procMAC.EnergyPJ() + cs.memMAC.EnergyPJ()
+		e += cs.procMAC.EnergyPJ() + cs.procVerMAC.EnergyPJ() + cs.memMAC.EnergyPJ()
 	}
 	return e
 }

@@ -1,11 +1,16 @@
 package obfus
 
 import (
+	"math"
 	"testing"
 
+	"obfusmem/internal/aes"
 	"obfusmem/internal/bus"
 	"obfusmem/internal/keys"
+	"obfusmem/internal/md5sim"
 	"obfusmem/internal/memctl"
+	"obfusmem/internal/metrics"
+	"obfusmem/internal/names"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/xrand"
 )
@@ -397,5 +402,86 @@ func TestWriteThenReadOrderSlowerForReads(t *testing.T) {
 	wtr := latency(WriteThenRead)
 	if wtr <= rtw {
 		t.Fatalf("write-then-read (%v) should delay the read vs read-then-write (%v)", wtr, rtw)
+	}
+}
+
+// TestValueEntryPointsInstrumented checks that the value-carrying entry
+// points feed the metrics registry like the timing-only ones: after a mix
+// of ReadData and WriteData the obfus counters equal Stats, and every real
+// request contributes one MAC-slack sample.
+func TestValueEntryPointsInstrumented(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := DefaultAuth()
+	cfg.Metrics = reg
+	r := newRig(t, cfg, 2)
+	at := sim.Time(0)
+	for i := 0; i < 24; i++ {
+		addr := uint64(0x2000 + 64*(i%8))
+		if i%3 == 0 {
+			var blk memctl.Block
+			blk[0] = byte(i)
+			at = r.ctrl.WriteData(at, addr, at, blk)
+		} else if _, done, ok := r.ctrl.ReadData(at, addr); !ok {
+			t.Fatal("value-carrying read failed without an attacker")
+		} else {
+			at = done
+		}
+		at += 100 * sim.Nanosecond
+	}
+	st := r.ctrl.Stats()
+	snap := reg.Snapshot()
+	counter := func(n names.Name) uint64 {
+		return snap.Counters[string(names.ScopeObfus)+"."+string(n)]
+	}
+	for _, c := range []struct {
+		name      names.Name
+		got, want uint64
+	}{
+		{names.ObfusRealReads, counter(names.ObfusRealReads), st.RealReads},
+		{names.ObfusRealWrites, counter(names.ObfusRealWrites), st.RealWrites},
+		{names.ObfusDummyReads, counter(names.ObfusDummyReads), st.DummyReads},
+		{names.ObfusDummyWrites, counter(names.ObfusDummyWrites), st.DummyWrites},
+		{names.ObfusMACsComputed, counter(names.ObfusMACsComputed), st.MACsComputed},
+	} {
+		if c.got != c.want {
+			t.Errorf("metric %s = %d, Stats says %d", c.name, c.got, c.want)
+		}
+	}
+	if st.RealReads == 0 || st.RealWrites == 0 {
+		t.Fatalf("mix issued no value reads or writes: %+v", st)
+	}
+	// Each ReadData and each WriteData pair is one real issue through
+	// requestCrypto, and each feeds one slack sample.
+	slack := snap.Histograms[string(names.ScopeObfus)+"."+string(names.ObfusMACSlackNS)]
+	if slack.Count != st.RealReads+st.RealWrites {
+		t.Errorf("MAC-slack samples = %d, want one per real request (%d)", slack.Count, st.RealReads+st.RealWrites)
+	}
+}
+
+// TestCryptoEnergyCountsEveryUnit checks that CryptoEnergyPJ covers all
+// seven crypto units of a channel, the reply-verification digests
+// included: the total is pads × PadEnergyPJ plus digests × MACEnergyPJ.
+func TestCryptoEnergyCountsEveryUnit(t *testing.T) {
+	r := newRig(t, DefaultAuth(), 2)
+	at := sim.Time(0)
+	for i := 0; i < 40; i++ {
+		r.ctrl.Read(at, uint64(0x1000+64*i))
+		r.ctrl.Write(at, uint64(0x9000+64*i), at)
+		at += 200 * sim.Nanosecond
+	}
+	r.ctrl.Drain(at)
+	var digests, verify uint64
+	for _, cs := range r.ctrl.chans {
+		digests += cs.procMAC.Digests() + cs.procVerMAC.Digests() + cs.memMAC.Digests()
+		verify += cs.procVerMAC.Digests()
+	}
+	if verify == 0 {
+		t.Fatal("no reply-verification digests issued under encrypt-and-MAC")
+	}
+	want := float64(r.ctrl.PadsProc()+r.ctrl.PadsMem())*aes.PadEnergyPJ + float64(digests)*md5sim.MACEnergyPJ
+	got := r.ctrl.CryptoEnergyPJ()
+	if math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("CryptoEnergyPJ = %g, want %g (pads %d+%d, digests %d)",
+			got, want, r.ctrl.PadsProc(), r.ctrl.PadsMem(), digests)
 	}
 }

@@ -3,20 +3,41 @@ package obfus
 import (
 	"testing"
 
+	"obfusmem/internal/bus"
 	"obfusmem/internal/memctl"
 	"obfusmem/internal/sim"
 )
 
-// TestReadWriteLegZeroAllocs is the PR 4 regression guard for the obfus
+// TestReadWriteLegZeroAllocs is the regression guard for the obfus
 // datapath: with recovery enabled and zero faults, a steady-state
 // read+write leg through the full pipeline (front end, pad pre-generation,
 // MAC, packet assembly, bus transfer, memory-side decode, reply) must not
-// allocate once the packet arena and write ring are warm. bench-smoke runs
-// this in CI.
-func TestReadWriteLegZeroAllocs(t *testing.T) {
+// allocate once the packet arena and write ring are warm. On this untapped
+// bus the leg takes the elided path (no command ciphertext or MAC bytes);
+// TestReadWriteLegObservedZeroAllocs covers the eager path. bench-smoke
+// runs both in CI.
+func TestReadWriteLegZeroAllocs(t *testing.T) { readWriteLegZeroAllocs(t, false) }
+
+// TestReadWriteLegObservedZeroAllocs is TestReadWriteLegZeroAllocs with a
+// no-op observer attached, so every packet is sealed and MACed on the host
+// and decoded through the full functional path.
+func TestReadWriteLegObservedZeroAllocs(t *testing.T) { readWriteLegZeroAllocs(t, true) }
+
+// newLegRig builds the authenticated, recovery-enabled 2-channel rig the
+// read+write leg guards and benchmarks drive, optionally tapped by a no-op
+// observer.
+func newLegRig(t testing.TB, observed bool) *testRig {
 	cfg := DefaultAuth()
 	cfg.Recovery = DefaultRecovery()
 	r := newRig(t, cfg, 2)
+	if observed {
+		r.bus.AttachObserver(bus.ObserverFunc(func(sim.Time, *bus.Packet) {}))
+	}
+	return r
+}
+
+func readWriteLegZeroAllocs(t *testing.T, observed bool) {
+	r := newLegRig(t, observed)
 	at := sim.Time(0)
 	// Warm-up: grow the packet arena, write ring, and resource state to
 	// their steady-state footprint.
@@ -35,7 +56,7 @@ func TestReadWriteLegZeroAllocs(t *testing.T) {
 		at += 200 * sim.Nanosecond
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state read+write leg allocates %.1f allocs/op, want 0", allocs)
+		t.Fatalf("steady-state read+write leg (observed=%v) allocates %.1f allocs/op, want 0", observed, allocs)
 	}
 }
 
@@ -97,11 +118,16 @@ func TestPooledDeterminismSameSeed(t *testing.T) {
 }
 
 // BenchmarkReadWriteLeg measures one authenticated read+write pair through
-// the full pipeline (the suite's inner loop).
-func BenchmarkReadWriteLeg(b *testing.B) {
-	cfg := DefaultAuth()
-	cfg.Recovery = DefaultRecovery()
-	r := newRig(b, cfg, 2)
+// the full pipeline (the suite's inner loop) on an untapped bus.
+func BenchmarkReadWriteLeg(b *testing.B) { benchReadWriteLeg(b, false) }
+
+// BenchmarkReadWriteLegObserved is BenchmarkReadWriteLeg with a no-op
+// observer attached: the cost of the host AES and MD5 work an untapped bus
+// elides.
+func BenchmarkReadWriteLegObserved(b *testing.B) { benchReadWriteLeg(b, true) }
+
+func benchReadWriteLeg(b *testing.B, observed bool) {
+	r := newLegRig(b, observed)
 	at := sim.Time(0)
 	b.ReportAllocs()
 	b.ResetTimer()
