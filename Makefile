@@ -1,7 +1,9 @@
 # Build/verify targets for the ObfusMem reproduction.
 #
 #   make check   - tier-1 verify: build + full test suite
-#   make vet     - static analysis: go vet, and fails if any tracked
+#   make vet     - static analysis: go vet (also over the nested perfbench
+#                  module and the -tags benchtraj trajectory file, which
+#                  go vet ./... does not build), and fails if any tracked
 #                  non-testdata .go file is not gofmt-clean
 #   make race    - test suite under the race detector in -short mode
 #                  (runSuite's parallel fan-out, the shared metrics registry,
@@ -54,6 +56,8 @@ check:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags benchtraj .
+	cd perfbench && $(GO) vet ./...
 	@unformatted=$$($(GOFMT) -l $$(git ls-files '*.go' | grep -v testdata)); \
 	if [ -n "$$unformatted" ]; then \
 		echo "vet: not gofmt-clean (run make lint-fix):"; echo "$$unformatted"; exit 1; \

@@ -37,7 +37,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := system.DefaultConfig(system.ObfusMem)
+			cfg := system.DefaultConfig(system.ObfusMemAuth)
 			cfg.Seed = 9
 			if on {
 				cfg.Metrics = metrics.NewRegistry()
@@ -64,7 +64,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := system.DefaultConfig(system.ObfusMem)
+			cfg := system.DefaultConfig(system.ObfusMemAuth)
 			cfg.Seed = 9
 			ccfg := cpu.DefaultConfig()
 			for i := 0; i < b.N; i++ {
@@ -208,7 +208,7 @@ func BenchmarkDummyDesigns(b *testing.B) {
 			var extra float64
 			for i := 0; i < b.N; i++ {
 				m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionObfusMem, Dummy: d.d, Seed: 9})
+					Scheme: "obfusmem", Dummy: d.d, Seed: 9})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -238,7 +238,7 @@ func BenchmarkPairingOrder(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
 				res := runMachine(b, obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionObfusMem, Order: o.o, Seed: 9}, "milc")
+					Scheme: "obfusmem", Order: o.o, Seed: 9}, "milc")
 				lat = res.MeanReadNS
 			}
 			b.ReportMetric(lat, "read-ns")
@@ -262,7 +262,7 @@ func BenchmarkMACMode(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
 				res := runMachine(b, obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionObfusMem, MAC: mm.m, Seed: 9}, "milc")
+					Scheme: "obfusmem", MAC: mm.m, Seed: 9}, "milc")
 				lat = res.MeanReadNS
 			}
 			b.ReportMetric(lat, "read-ns")
@@ -284,7 +284,7 @@ func BenchmarkSymmetricAlt(b *testing.B) {
 			var perReq float64
 			for i := 0; i < b.N; i++ {
 				m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionObfusMem, Symmetric: sym, Seed: 9})
+					Scheme: "obfusmem", Symmetric: sym, Seed: 9})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -308,7 +308,7 @@ func BenchmarkChannelScaling(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
 				res := runMachine(b, obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionObfusMemAuth, Channels: ch,
+					Scheme: "obfusmem-auth", Channels: ch,
 					Policy: obfusmem.PolicyOPT, Seed: 9}, "bwaves")
 				lat = res.MeanReadNS
 			}
@@ -330,7 +330,7 @@ func BenchmarkIntegrityTree(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
 				res := runMachine(b, obfusmem.MachineConfig{
-					Protection:    obfusmem.ProtectionObfusMemAuth,
+					Scheme:        "obfusmem-auth",
 					IntegrityTree: integ, Seed: 9}, "mcf")
 				lat = res.MeanReadNS
 			}
@@ -351,7 +351,7 @@ func BenchmarkTimingOblivious(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
 				res := runMachine(b, obfusmem.MachineConfig{
-					Protection:      obfusmem.ProtectionObfusMem,
+					Scheme:          "obfusmem",
 					TimingOblivious: obliv, Seed: 9}, "milc")
 				lat = res.MeanReadNS
 			}
@@ -412,12 +412,12 @@ func BenchmarkMemoryTechnology(b *testing.B) {
 			var overhead float64
 			for i := 0; i < b.N; i++ {
 				base, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionNone, DRAM: dram, Seed: 9})
+					Scheme: "unprotected", DRAM: dram, Seed: 9})
 				if err != nil {
 					b.Fatal(err)
 				}
 				prot, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-					Protection: obfusmem.ProtectionObfusMemAuth, DRAM: dram, Seed: 9})
+					Scheme: "obfusmem-auth", DRAM: dram, Seed: 9})
 				if err != nil {
 					b.Fatal(err)
 				}

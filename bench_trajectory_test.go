@@ -388,7 +388,7 @@ func TestEmitBenchTrajectory(t *testing.T) {
 
 	base := system.DefaultConfig(system.Unprotected)
 	base.Seed = 9
-	obf := system.DefaultConfig(system.ObfusMem)
+	obf := system.DefaultConfig(system.ObfusMemAuth)
 	obf.Seed = 9
 	pal := system.DefaultConfig(system.Palermo)
 	pal.Seed = 9

@@ -16,9 +16,9 @@ import (
 
 func run(d obfusmem.DummyDesign, label string) {
 	m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-		Protection: obfusmem.ProtectionObfusMem,
-		Dummy:      d,
-		Seed:       1,
+		Scheme: "obfusmem",
+		Dummy:  d,
+		Seed:   1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -63,7 +63,7 @@ func main() {
 	// --- ObfusMem on the same shape of workload. ---
 	fmt.Println("\n== ObfusMem (full machine, bus observer attached) ==")
 	m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-		Protection: obfusmem.ProtectionObfusMemAuth, Seed: 2})
+		Scheme: "obfusmem-auth", Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Quickstart: build one machine per protection level, run the same
+// Quickstart: build one machine per registered protection scheme, run the same
 // memory-intensive SPEC 2006 profile on each, and print the execution-time
 // comparison that motivates the paper — ObfusMem obfuscates the access
 // pattern for ~10% where ORAM costs ~10x.
@@ -15,20 +15,12 @@ func main() {
 	const bench = "mcf"
 	const requests = 8000
 
-	levels := []obfusmem.Protection{
-		obfusmem.ProtectionNone,
-		obfusmem.ProtectionEncrypt,
-		obfusmem.ProtectionObfusMem,
-		obfusmem.ProtectionObfusMemAuth,
-		obfusmem.ProtectionORAM,
-	}
-
 	fmt.Printf("workload %s, %d memory requests per machine\n\n", bench, requests)
-	fmt.Printf("%-16s %12s %8s %12s %10s\n", "protection", "exec time", "IPC", "mean read", "overhead")
+	fmt.Printf("%-16s %12s %8s %12s %10s\n", "scheme", "exec time", "IPC", "mean read", "overhead")
 
 	var base obfusmem.Result
-	for i, p := range levels {
-		m, err := obfusmem.NewMachine(obfusmem.MachineConfig{Protection: p, Seed: 1})
+	for i, s := range obfusmem.Schemes() {
+		m, err := obfusmem.NewMachine(obfusmem.MachineConfig{Scheme: s, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,12 +32,12 @@ func main() {
 			base = res
 		}
 		fmt.Printf("%-16s %12v %8.2f %9.0f ns %9.1f%%\n",
-			p, res.ExecTime, res.IPC, res.MeanReadNS, obfusmem.Overhead(base, res))
+			s, res.ExecTime, res.IPC, res.MeanReadNS, obfusmem.Overhead(base, res))
 	}
 
 	// The paper's headline: ObfusMem+Auth vs ORAM.
-	mo, _ := obfusmem.NewMachine(obfusmem.MachineConfig{Protection: obfusmem.ProtectionObfusMemAuth, Seed: 1})
-	ro, _ := obfusmem.NewMachine(obfusmem.MachineConfig{Protection: obfusmem.ProtectionORAM, Seed: 1})
+	mo, _ := obfusmem.NewMachine(obfusmem.MachineConfig{Scheme: "obfusmem-auth", Seed: 1})
+	ro, _ := obfusmem.NewMachine(obfusmem.MachineConfig{Scheme: "oram", Seed: 1})
 	a, _ := mo.RunBenchmark(bench, requests)
 	b, _ := ro.RunBenchmark(bench, requests)
 	fmt.Printf("\nObfusMem+Auth is %.1fx faster than the Path ORAM model on %s\n",

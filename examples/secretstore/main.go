@@ -22,7 +22,7 @@ func mkBlock(s string) obfusmem.Block {
 
 func main() {
 	m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-		Protection: obfusmem.ProtectionObfusMemAuth, Seed: 1})
+		Scheme: "obfusmem-auth", Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func main() {
 	}
 	for _, a := range attacks {
 		m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
-			Protection: obfusmem.ProtectionObfusMemAuth, FullHandshake: true, Seed: 7})
+			Scheme: "obfusmem-auth", FullHandshake: true, Seed: 7})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -195,7 +195,7 @@ func TestTamperDetectionMatrix(t *testing.T) {
 // when the block is next read.
 func TestTamperDataCaughtByMerkleOnNextRead(t *testing.T) {
 	for _, mode := range []obfus.MACMode{obfus.MACNone, obfus.EncryptAndMAC, obfus.EncryptThenMAC} {
-		cfg := system.DefaultConfig(system.ObfusMem)
+		cfg := system.DefaultConfig(system.ObfusMemAuth)
 		cfg.Obfus.MAC = mode
 		sys := system.New(cfg)
 		tmp := NewTamperer(TamperData, 2, xrand.New(21))

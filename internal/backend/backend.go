@@ -132,7 +132,7 @@ type Context struct {
 // defaults its options block starts from, and the construct hook.
 type Descriptor struct {
 	// Name is the scheme's registered spelling; it is the single source of
-	// truth for CLI flags, experiment tables, and system.ParseMode.
+	// truth for CLI flags, experiment tables, and system.Config.Backend.
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string

@@ -9,11 +9,11 @@ package backend_test
 // for free the moment they register.
 
 import (
+	"slices"
 	"testing"
 
 	"obfusmem/internal/backend"
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/fault"
 	"obfusmem/internal/metrics"
 	"obfusmem/internal/names"
 	"obfusmem/internal/obfus"
@@ -48,9 +48,10 @@ func runMilc(t *testing.T, cfg system.Config) (cpu.Result, *system.System) {
 }
 
 // TestRegistryRoundTrip pins the single-source-of-truth contract for
-// scheme names: every registered backend name resolves through ParseMode
-// and DefaultConfigByName, builds a machine, and survives the round trip
-// back out of the machine's normalized Config. Before the registry,
+// scheme names: system's scheme constants are exactly the registered
+// names, and every registered name resolves through DefaultConfigByName,
+// builds a machine, and survives the round trip back out of the machine's
+// Config. Before the registry,
 // "obfusmem-auth" existed only inside a CLI switch and could not be named
 // by library callers at all.
 func TestRegistryRoundTrip(t *testing.T) {
@@ -58,10 +59,13 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if len(names) < 4 {
 		t.Fatalf("registry has %d backends, want at least the paper's four: %v", len(names), names)
 	}
+	consts := []string{system.Unprotected, system.EncryptOnly, system.ObfusMem,
+		system.ObfusMemAuth, system.ORAM, system.Palermo}
+	slices.Sort(consts)
+	if reg := backend.Names(); !slices.Equal(consts, reg) {
+		t.Errorf("system scheme constants %v, registry %v", consts, reg)
+	}
 	for _, name := range names {
-		if _, err := system.ParseMode(name); err != nil {
-			t.Errorf("ParseMode(%q): %v", name, err)
-		}
 		cfg, err := system.DefaultConfigByName(name)
 		if err != nil {
 			t.Errorf("DefaultConfigByName(%q): %v", name, err)
@@ -78,12 +82,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 		if got := sys.Config().Backend; got != name {
 			t.Errorf("machine built as %q reports Backend %q", name, got)
 		}
-		if got := sys.Config().Mode.String(); name != "obfusmem-auth" && got != name {
-			t.Errorf("machine built as %q reports Mode %q", name, got)
-		}
-	}
-	if _, err := system.ParseMode("no-such-scheme"); err == nil {
-		t.Error("ParseMode accepted an unregistered scheme name")
 	}
 	if _, err := system.DefaultConfigByName("no-such-scheme"); err == nil {
 		t.Error("DefaultConfigByName accepted an unregistered scheme name")
@@ -175,11 +173,7 @@ func TestNoSilentlyLostRequests(t *testing.T) {
 	for _, name := range system.BackendNames() {
 		t.Run(name, func(t *testing.T) {
 			cfg := conformanceConfig(t, name)
-			fc := fault.Uniform(1e-3, 0) // Seed 0: derive from the machine seed
-			cfg.Fault = &fc
-			if cfg.Mode == system.ObfusMem {
-				cfg.Obfus.Recovery = obfus.DefaultRecovery()
-			}
+			cfg.InjectFaults(1e-3)
 			reg := metrics.NewRegistry()
 			cfg.Metrics = reg
 			res, sys := runMilc(t, cfg)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/fault"
 	"obfusmem/internal/leakage"
-	"obfusmem/internal/obfus"
 	"obfusmem/internal/stats"
 	"obfusmem/internal/system"
 	"obfusmem/internal/workload"
@@ -16,38 +14,10 @@ import (
 // fault leg (the middle rate of the -exp faults sweep).
 const backendFaultRate = 1e-3
 
-// backendOrder returns the registered scheme names in presentation order:
-// the canonical protection progression first, then any scheme registered
-// after this file was written, alphabetically. Names come from the backend
-// registry, so the matrix always covers every scheme the simulator has.
-func backendOrder() []string {
-	preferred := []string{"unprotected", "encrypt-only", "obfusmem", "obfusmem-auth", "palermo", "oram"}
-	have := make(map[string]bool)
-	for _, n := range system.BackendNames() {
-		have[n] = true
-	}
-	out := make([]string, 0, len(have))
-	for _, n := range preferred {
-		if have[n] {
-			out = append(out, n)
-			delete(have, n)
-		}
-	}
-	for _, n := range system.BackendNames() {
-		if have[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // backendConfig builds the named scheme's default machine at the matrix's
 // common operating point.
 func backendConfig(name string) system.Config {
-	cfg, err := system.DefaultConfigByName(name)
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
+	cfg := system.DefaultConfig(name)
 	cfg.Channels = 2
 	return cfg
 }
@@ -63,7 +33,7 @@ func backendConfig(name string) system.Config {
 // The matrix is intentionally not part of -exp all: results_full.txt
 // predates it and stays bit-identical.
 func Backends(opts Options) *stats.Table {
-	names := backendOrder()
+	names := system.Schemes()
 	specs := make([]ModeSpec, 0, len(names))
 	for _, n := range names {
 		specs = append(specs, ModeSpec{Name: n, Cfg: backendConfig(n)})
@@ -92,11 +62,7 @@ func Backends(opts Options) *stats.Table {
 		// scheme, uniform transient faults on the wire. Schemes whose
 		// backend has the recovery protocol arm it (like -exp faults).
 		fcfg := backendConfig(n)
-		fc := fault.Uniform(backendFaultRate, 0) // Seed 0: derive from the machine seed
-		fcfg.Fault = &fc
-		if fcfg.Mode == system.ObfusMem {
-			fcfg.Obfus.Recovery = obfus.DefaultRecovery()
-		}
+		fcfg.InjectFaults(backendFaultRate)
 		_, sys := runOne(opts, fcfg, "milc")
 		acct := sys.Accounting()
 		ledger := "balanced"

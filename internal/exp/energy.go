@@ -53,7 +53,7 @@ func Energy(opts Options) *stats.Table {
 
 	// --- Measured: ObfusMem pads, PCM writes, and lifetime on a
 	// memory-intensive benchmark. ---
-	res, sys := runOne(opts, system.DefaultConfig(system.ObfusMem), "lbm")
+	res, sys := runOne(opts, system.DefaultConfig(system.ObfusMemAuth), "lbm")
 	obf := sys.Obfus()
 	perAccess := float64(obf.PadsProc()+obf.PadsMem()) / float64(res.Requests)
 	t.AddRow("measured ObfusMem pads per access", "-",

@@ -27,7 +27,7 @@ func Faults(opts Options) *stats.Table {
 		"Fault rate", "Slowdown", "Faults", "Retransmits", "NACKs", "Resyncs", "Recovered", "Quarantines", "Lost")
 
 	mk := func(rate float64) system.Config {
-		cfg := system.DefaultConfig(system.ObfusMem)
+		cfg := system.DefaultConfig(system.ObfusMemAuth)
 		cfg.Channels = 2
 		cfg.Obfus.Recovery = obfus.DefaultRecovery()
 		if rate > 0 {

@@ -31,7 +31,7 @@ type leakRun struct {
 // deterministic for a fixed opts.Seed regardless of worker count: jobs
 // write to per-index slots and aggregation walks fixed orders.
 func LeakageReport(opts Options) *leakage.Report {
-	schemes := backendOrder()
+	schemes := system.Schemes()
 	benches := leakBenches()
 
 	type job struct {

@@ -5,7 +5,6 @@ import (
 
 	"obfusmem/internal/attack"
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/obfus"
 	"obfusmem/internal/oram"
 	"obfusmem/internal/stats"
 	"obfusmem/internal/system"
@@ -34,7 +33,7 @@ func Table4(opts Options) *stats.Table {
 		"Aspect", "ORAM", "ObfusMem", "Evidence")
 
 	// Passive observation of an ObfusMem machine.
-	obfCfg := system.DefaultConfig(system.ObfusMem)
+	obfCfg := system.DefaultConfig(system.ObfusMemAuth)
 	obs, sys, _ := observedRun(opts, obfCfg, "mcf")
 
 	// Temporal + spatial pattern: ObfusMem via ciphertext analysis.
@@ -70,9 +69,7 @@ func Table4(opts Options) *stats.Table {
 		fmt.Sprintf("footprint estimate error %.1fx true (ObfusMem)", obs.FootprintError()))
 
 	// Command authentication: tamper detection.
-	authCfg := system.DefaultConfig(system.ObfusMem)
-	authCfg.Obfus = obfus.DefaultAuth()
-	detected, attacked := tamperRate(opts, authCfg, attack.TamperModify)
+	detected, attacked := tamperRate(opts, system.DefaultConfig(system.ObfusMemAuth), attack.TamperModify)
 	t.AddRow("Command authentication", "No", "Yes",
 		fmt.Sprintf("%d/%d modifications detected with encrypt-and-MAC", detected, attacked))
 
@@ -143,8 +140,7 @@ type TamperingScenario struct {
 func Tampering(opts Options) *stats.Table {
 	t := stats.NewTable("Section 3.5: active tampering scenarios (ObfusMem+Auth)",
 		"Attack", "Mounted", "Detected by bus MAC", "Notes")
-	cfg := system.DefaultConfig(system.ObfusMem)
-	cfg.Obfus = obfus.DefaultAuth()
+	cfg := system.DefaultConfig(system.ObfusMemAuth)
 	for _, kind := range []attack.TamperKind{
 		attack.TamperModify, attack.TamperDrop, attack.TamperReplay,
 		attack.TamperMAC, attack.TamperData,

@@ -54,12 +54,10 @@ func Table2() *stats.Table {
 
 // table3Specs are the machines Table 3 compares.
 func table3Specs() []ModeSpec {
-	obf := system.DefaultConfig(system.ObfusMem)
-	obf.Obfus = obfus.DefaultAuth()
 	return []ModeSpec{
 		{Name: "base", Cfg: system.DefaultConfig(system.Unprotected)},
 		{Name: "oram", Cfg: system.DefaultConfig(system.ORAM)},
-		{Name: "obfus+auth", Cfg: obf},
+		{Name: "obfus+auth", Cfg: system.DefaultConfig(system.ObfusMemAuth)},
 	}
 }
 
@@ -117,15 +115,11 @@ type Figure4Data struct {
 
 // Figure4Numbers computes the Figure 4 series.
 func Figure4Numbers(opts Options) Figure4Data {
-	obfPlain := system.DefaultConfig(system.ObfusMem)
-	obfPlain.Obfus = obfus.Default()
-	obfAuth := system.DefaultConfig(system.ObfusMem)
-	obfAuth.Obfus = obfus.DefaultAuth()
 	res := runSuite(opts, []ModeSpec{
 		{Name: "base", Cfg: system.DefaultConfig(system.Unprotected)},
 		{Name: "enc", Cfg: system.DefaultConfig(system.EncryptOnly)},
-		{Name: "obfus", Cfg: obfPlain},
-		{Name: "obfus+auth", Cfg: obfAuth},
+		{Name: "obfus", Cfg: system.DefaultConfig(system.ObfusMem)},
+		{Name: "obfus+auth", Cfg: system.DefaultConfig(system.ObfusMemAuth)},
 	})
 	var d Figure4Data
 	for _, p := range workload.SPEC2006() {
@@ -167,14 +161,13 @@ type Figure5Data struct {
 func Figure5Numbers(opts Options) Figure5Data {
 	d := Figure5Data{Channels: []int{1, 2, 4, 8}}
 	mk := func(ch int, policy obfus.ChannelPolicy, auth bool) system.Config {
-		cfg := system.DefaultConfig(system.ObfusMem)
-		cfg.Channels = ch
-		oc := obfus.Default()
-		oc.Policy = policy
+		name := system.ObfusMem
 		if auth {
-			oc.MAC = obfus.EncryptAndMAC
+			name = system.ObfusMemAuth
 		}
-		cfg.Obfus = oc
+		cfg := system.DefaultConfig(name)
+		cfg.Channels = ch
+		cfg.Obfus.Policy = policy
 		return cfg
 	}
 	for _, ch := range d.Channels {

@@ -5,7 +5,6 @@ import (
 
 	"obfusmem/internal/attack"
 	"obfusmem/internal/cpu"
-	"obfusmem/internal/obfus"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/stats"
 	"obfusmem/internal/system"
@@ -24,9 +23,7 @@ func TimingOblivious(opts Options) *stats.Table {
 
 	run := func(bench string, oblivious bool) (*attack.Observer, cpu.Result, *system.System) {
 		cfg := system.DefaultConfig(system.ObfusMem)
-		oc := obfus.Default()
-		oc.TimingOblivious = oblivious
-		cfg.Obfus = oc
+		cfg.Obfus.TimingOblivious = oblivious
 		p, err := workload.ByName(bench)
 		if err != nil {
 			panic(err)

@@ -7,12 +7,13 @@
 // to the protection scheme alone.
 //
 // Schemes are obtained from the internal/backend registry: a machine is
-// assembled from a registered backend name (Config.Backend), with the
-// legacy Mode enum retained as a thin alias layer for existing callers.
+// assembled from a registered backend name (Config.Backend), and the
+// scheme constants below are the only spellings of those names.
 package system
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"obfusmem/internal/backend"
@@ -32,63 +33,28 @@ import (
 	"obfusmem/internal/xrand"
 )
 
-// Mode selects the protection level. It survives as a convenience alias
-// over the backend registry: Config.Backend (a registered name) is the
-// source of truth, and a zero Backend falls back to Mode.String().
-type Mode int
-
-// Protection levels.
+// The registered scheme names (see internal/backend). A scheme is chosen
+// only by its registered name, through Config.Backend.
 const (
-	Unprotected Mode = iota
-	EncryptOnly
-	ObfusMem
-	ORAM
-	Palermo
+	Unprotected  = "unprotected"
+	EncryptOnly  = "encrypt-only"
+	ObfusMem     = "obfusmem"
+	ObfusMemAuth = "obfusmem-auth"
+	ORAM         = "oram"
+	Palermo      = "palermo"
 )
 
-func (m Mode) String() string {
-	switch m {
-	case Unprotected:
-		return "unprotected"
-	case EncryptOnly:
-		return "encrypt-only"
-	case ObfusMem:
-		return "obfusmem"
-	case ORAM:
-		return "oram"
-	case Palermo:
-		return "palermo"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
+// Schemes returns the registered scheme names in presentation order: the
+// protection progression first, then any scheme registered later,
+// alphabetically. Experiment tables and CLIs list schemes in this order.
+func Schemes() []string {
+	out := []string{Unprotected, EncryptOnly, ObfusMem, ObfusMemAuth, Palermo, ORAM}
+	for _, n := range BackendNames() {
+		if !slices.Contains(out, n) {
+			out = append(out, n)
+		}
 	}
-}
-
-// modeOf maps every registered backend name to its legacy Mode. Both
-// ObfusMem spellings collapse onto the one Mode — the design point lives
-// in the Obfus options block, not the enum.
-var modeOf = map[string]Mode{
-	"unprotected":   Unprotected,
-	"encrypt-only":  EncryptOnly,
-	"obfusmem":      ObfusMem,
-	"obfusmem-auth": ObfusMem,
-	"oram":          ORAM,
-	"palermo":       Palermo,
-}
-
-// ParseMode resolves a scheme name against the backend registry and
-// returns its legacy Mode. It is the single source of truth for scheme
-// names: every name in BackendNames round-trips, and callers (CLI flags,
-// experiment tables) get one consistent error message for the rest.
-func ParseMode(name string) (Mode, error) {
-	if _, ok := backend.Lookup(name); !ok {
-		return 0, fmt.Errorf("unknown scheme %q (registered: %s)",
-			name, strings.Join(BackendNames(), ", "))
-	}
-	m, ok := modeOf[name]
-	if !ok {
-		return 0, fmt.Errorf("scheme %q is registered but has no Mode mapping", name)
-	}
-	return m, nil
+	return out
 }
 
 // BackendNames lists every registered scheme name, sorted.
@@ -97,9 +63,8 @@ func BackendNames() []string { return backend.Names() }
 // Config describes a machine.
 type Config struct {
 	// Backend selects the protection scheme by registered name (see
-	// BackendNames). When empty, the legacy Mode field selects it.
+	// BackendNames).
 	Backend string
-	Mode    Mode
 	// Channels is the number of independent bus/memory channels.
 	Channels int
 	// Obfus selects the ObfusMem design point (obfusmem / obfusmem-auth).
@@ -148,15 +113,9 @@ type Config struct {
 	Fault *fault.Config
 }
 
-// DefaultConfig returns a single-channel machine in the given mode with the
-// paper's parameters. The ObfusMem mode maps to the full design
-// ("obfusmem-auth", encrypt-and-MAC), matching the paper's headline
-// configuration.
-func DefaultConfig(mode Mode) Config {
-	name := mode.String()
-	if mode == ObfusMem {
-		name = "obfusmem-auth"
-	}
+// DefaultConfig is DefaultConfigByName for a name known to be registered
+// (one of this package's scheme constants); it panics on an unknown name.
+func DefaultConfig(name string) Config {
 	cfg, err := DefaultConfigByName(name)
 	if err != nil {
 		panic("system: " + err.Error())
@@ -172,11 +131,7 @@ func DefaultConfigByName(name string) (Config, error) {
 		return Config{}, fmt.Errorf("unknown scheme %q (registered: %s)",
 			name, strings.Join(BackendNames(), ", "))
 	}
-	mode, ok := modeOf[name]
-	if !ok {
-		return Config{}, fmt.Errorf("scheme %q is registered but has no Mode mapping", name)
-	}
-	cfg := Config{Backend: name, Mode: mode, Channels: 1, Seed: 1}
+	cfg := Config{Backend: name, Channels: 1, Seed: 1}
 	var o backend.Options
 	if d.Defaults != nil {
 		d.Defaults(&o)
@@ -185,6 +140,18 @@ func DefaultConfigByName(name string) (Config, error) {
 	cfg.ORAMConcurrency = o.ORAMConcurrency
 	cfg.Palermo = o.Palermo
 	return cfg, nil
+}
+
+// InjectFaults attaches a uniform transient-fault injector at the given
+// per-packet rate, its stream derived from the machine seed. On schemes
+// with the recovery protocol (those consuming the Obfus options) it also
+// arms recovery; the others surface faulted requests as Lost.
+func (c *Config) InjectFaults(rate float64) {
+	fc := fault.Uniform(rate, 0)
+	c.Fault = &fc
+	if d, ok := backend.Lookup(c.Backend); ok && d.Uses.Obfus {
+		c.Obfus.Recovery = obfus.DefaultRecovery()
+	}
 }
 
 // System is an assembled machine implementing cpu.MemorySystem.
@@ -215,18 +182,15 @@ func New(cfg Config) *System {
 }
 
 // NewChecked builds a machine from the registered backend selected by
-// cfg.Backend (or, when empty, cfg.Mode). It rejects unknown scheme names
-// and configs that set options foreign to the selected backend — e.g.
-// ORAMConcurrency on an ObfusMem machine — since those silently did
-// nothing under the old mode switch.
+// cfg.Backend. It rejects unknown scheme names and configs that set
+// options foreign to the selected backend — e.g. ORAMConcurrency on an
+// ObfusMem machine — since those silently did nothing under the old mode
+// switch.
 func NewChecked(cfg Config) (*System, error) {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
 	}
 	name := cfg.Backend
-	if name == "" {
-		name = cfg.Mode.String()
-	}
 	d, ok := backend.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown scheme %q (registered: %s)",
@@ -240,9 +204,6 @@ func NewChecked(cfg Config) (*System, error) {
 	if err := d.CheckForeign(opts); err != nil {
 		return nil, err
 	}
-	// Normalize so Config() reports both spellings consistently.
-	cfg.Backend = name
-	cfg.Mode = modeOf[name]
 
 	mcfg := memctl.DefaultConfig(cfg.Channels)
 	mcfg.WearLevel = cfg.WearLevel
@@ -383,8 +344,7 @@ func (s *System) FaultInjector() *fault.Injector { return s.inj }
 // the ObfusMem recovery protocol has quarantined channels, nil otherwise.
 func (s *System) Err() error { return s.bk.Err() }
 
-// Config returns the machine configuration (normalized: both Backend and
-// Mode are populated).
+// Config returns the machine configuration.
 func (s *System) Config() Config { return s.cfg }
 
 // counterFetch routes the at-rest encryption engine's counter-block

@@ -1,10 +1,12 @@
 package system
 
 import (
+	"slices"
 	"testing"
 
 	"obfusmem/internal/attack"
 	"obfusmem/internal/cpu"
+	"obfusmem/internal/fault"
 	"obfusmem/internal/obfus"
 	"obfusmem/internal/sim"
 	"obfusmem/internal/workload"
@@ -12,7 +14,7 @@ import (
 )
 
 func TestModesBuildAndServe(t *testing.T) {
-	for _, mode := range []Mode{Unprotected, EncryptOnly, ObfusMem, ORAM} {
+	for _, mode := range []string{Unprotected, EncryptOnly, ObfusMemAuth, ORAM} {
 		s := New(DefaultConfig(mode))
 		done := s.Read(0, 0x10000)
 		if done <= 0 {
@@ -26,9 +28,43 @@ func TestModesBuildAndServe(t *testing.T) {
 	}
 }
 
+// TestSchemesCoverRegistry pins the presentation order: every registered
+// scheme appears exactly once, the protection progression first.
+func TestSchemesCoverRegistry(t *testing.T) {
+	got := Schemes()
+	if got[0] != Unprotected || got[len(got)-1] != ORAM {
+		t.Errorf("Schemes() = %v, want unprotected first and oram last", got)
+	}
+	sorted := slices.Clone(got)
+	slices.Sort(sorted)
+	if !slices.Equal(sorted, BackendNames()) {
+		t.Errorf("Schemes() = %v, registry %v", got, BackendNames())
+	}
+}
+
+// TestInjectFaultsArmsRecoveryWhereConsumed checks that InjectFaults arms
+// the recovery protocol exactly on the schemes that consume the Obfus
+// options, so the armed config passes NewChecked on every scheme.
+func TestInjectFaultsArmsRecoveryWhereConsumed(t *testing.T) {
+	for _, name := range Schemes() {
+		cfg := DefaultConfig(name)
+		cfg.InjectFaults(1e-3)
+		if cfg.Fault == nil || *cfg.Fault != fault.Uniform(1e-3, 0) {
+			t.Errorf("%s: fault config %+v, want uniform 1e-3", name, cfg.Fault)
+		}
+		wantRecovery := name == ObfusMem || name == ObfusMemAuth
+		if cfg.Obfus.Recovery.Enabled != wantRecovery {
+			t.Errorf("%s: recovery armed = %v, want %v", name, cfg.Obfus.Recovery.Enabled, wantRecovery)
+		}
+		if _, err := NewChecked(cfg); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestORAMSlowerThanObfusMem(t *testing.T) {
 	or := New(DefaultConfig(ORAM))
-	ob := New(DefaultConfig(ObfusMem))
+	ob := New(DefaultConfig(ObfusMemAuth))
 	un := New(DefaultConfig(Unprotected))
 	lo := or.Read(0, 0x1000)
 	lb := ob.Read(0, 0x1000)
@@ -42,7 +78,7 @@ func TestORAMSlowerThanObfusMem(t *testing.T) {
 }
 
 func TestFullHandshakeBuilds(t *testing.T) {
-	cfg := DefaultConfig(ObfusMem)
+	cfg := DefaultConfig(ObfusMemAuth)
 	cfg.Channels = 2
 	cfg.FullHandshake = true
 	s := New(cfg)
@@ -66,7 +102,7 @@ func TestClosedLoopRunAllModes(t *testing.T) {
 		t.Fatalf("baseline run broken: %+v", base)
 	}
 	enc := cpu.Run(p, n, New(DefaultConfig(EncryptOnly)), cpu.DefaultConfig(), 9)
-	obf := cpu.Run(p, n, New(DefaultConfig(ObfusMem)), cpu.DefaultConfig(), 9)
+	obf := cpu.Run(p, n, New(DefaultConfig(ObfusMemAuth)), cpu.DefaultConfig(), 9)
 	orm := cpu.Run(p, n, New(DefaultConfig(ORAM)), cpu.DefaultConfig(), 9)
 
 	oEnc := cpu.Overhead(base, enc)
@@ -103,7 +139,7 @@ func TestObfusMemVariantsBuild(t *testing.T) {
 		{Dummy: obfus.OriginalAddress, Policy: obfus.PolicyUNOPT, MAC: obfus.EncryptThenMAC},
 		{Dummy: obfus.RandomAddress, Policy: obfus.PolicyOPT, Symmetric: true},
 	} {
-		cfg := DefaultConfig(ObfusMem)
+		cfg := DefaultConfig(ObfusMemAuth)
 		cfg.Channels = 2
 		cfg.Obfus = oc
 		s := New(cfg)
@@ -129,7 +165,7 @@ func TestTable1Reproduction(t *testing.T) {
 }
 
 func TestValueRoundTripAllModes(t *testing.T) {
-	for _, mode := range []Mode{Unprotected, EncryptOnly, ObfusMem, ORAM} {
+	for _, mode := range []string{Unprotected, EncryptOnly, ObfusMemAuth, ORAM} {
 		s := New(DefaultConfig(mode))
 		at := sim.Time(0)
 		var want [16]Block
@@ -155,7 +191,7 @@ func TestValueRoundTripAllModes(t *testing.T) {
 func TestValueOverwriteVersioning(t *testing.T) {
 	// Counter-mode versioning: overwriting a block and reading it back
 	// must return the new value (the IV changed under it).
-	s := New(DefaultConfig(ObfusMem))
+	s := New(DefaultConfig(ObfusMemAuth))
 	var a, b Block
 	a[0], b[0] = 1, 2
 	at := s.WriteData(0, 4096, a)
@@ -170,7 +206,7 @@ func TestObservation4EndToEnd(t *testing.T) {
 	// In-flight data corruption: the bus MAC does not cover payloads
 	// (encrypt-and-MAC over type|addr|counter), so the write is accepted —
 	// but the Merkle tree catches the corruption when the block is read.
-	s := New(DefaultConfig(ObfusMem))
+	s := New(DefaultConfig(ObfusMemAuth))
 	tmp := attack.NewTamperer(attack.TamperData, 1, xrand.New(3))
 	s.Bus().SetTamperer(tmp)
 	var blk Block
@@ -195,7 +231,7 @@ func TestObservation4EndToEnd(t *testing.T) {
 func TestValueDataInMemoryIsCiphertext(t *testing.T) {
 	// The functional store must hold ciphertext, not plaintext, in the
 	// protected modes (memory readout attack resistance).
-	s := New(DefaultConfig(ObfusMem))
+	s := New(DefaultConfig(ObfusMemAuth))
 	var blk Block
 	copy(blk[:], "extremely secret value 12345678")
 	s.WriteData(0, 0x4000, blk)

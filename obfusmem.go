@@ -5,11 +5,12 @@
 // It provides:
 //
 //   - a complete simulated machine (out-of-order cores → MESI cache
-//     hierarchy → memory bus → PCM main memory) with four protection
-//     levels: unprotected, counter-mode memory encryption, ObfusMem (the
-//     paper's contribution, in all its design variants), and a Path ORAM
-//     baseline (both a functional implementation and the paper's
-//     fixed-latency performance model);
+//     hierarchy → memory bus → PCM main memory) under each registered
+//     protection scheme, chosen by name (see Schemes): unprotected,
+//     counter-mode memory encryption, ObfusMem (the paper's contribution,
+//     in all its design variants), Palermo, and a Path ORAM baseline (both
+//     a functional implementation and the paper's fixed-latency
+//     performance model);
 //   - the trust architecture of Section 3.1 (manufacturer-certified
 //     component keys, integrator key burning, attestation, Diffie-Hellman
 //     session establishment);
@@ -20,7 +21,7 @@
 //
 // Quick start:
 //
-//	m, _ := obfusmem.NewMachine(obfusmem.MachineConfig{Protection: obfusmem.ProtectionObfusMemAuth})
+//	m, _ := obfusmem.NewMachine(obfusmem.MachineConfig{Scheme: "obfusmem-auth"})
 //	res, _ := m.RunBenchmark("mcf", 10000)
 //	fmt.Printf("mcf ran %v simulated, IPC %.2f\n", res.ExecTime, res.IPC)
 //
@@ -33,6 +34,7 @@ import (
 	"io"
 
 	"obfusmem/internal/attack"
+	"obfusmem/internal/backend"
 	"obfusmem/internal/cache"
 	"obfusmem/internal/cpu"
 	"obfusmem/internal/obfus"
@@ -42,51 +44,14 @@ import (
 	"obfusmem/internal/xrand"
 )
 
-// Protection selects the machine's protection level.
-type Protection int
-
-// Protection levels, in increasing order of security.
-const (
-	// ProtectionNone is the unprotected baseline: plaintext commands,
-	// addresses, and data on the memory bus.
-	ProtectionNone Protection = iota
-	// ProtectionEncrypt adds counter-mode memory encryption (data at rest
-	// and in transit is ciphertext; addresses and commands are plain).
-	ProtectionEncrypt
-	// ProtectionObfusMem adds ObfusMem access-pattern obfuscation on top
-	// of memory encryption (no bus authentication).
-	ProtectionObfusMem
-	// ProtectionObfusMemAuth is ObfusMem plus encrypt-and-MAC
-	// communication authentication — the paper's full design.
-	ProtectionObfusMemAuth
-	// ProtectionORAM replaces ObfusMem with the paper's optimistic Path
-	// ORAM performance model.
-	ProtectionORAM
-	// ProtectionPalermo replaces ObfusMem with the Palermo
-	// protocol/hardware co-designed oblivious memory (arXiv 2411.05400):
-	// batched oblivious accesses with cover-block path reads and deferred
-	// eviction writebacks.
-	ProtectionPalermo
-)
-
-func (p Protection) String() string {
-	switch p {
-	case ProtectionNone:
-		return "none"
-	case ProtectionEncrypt:
-		return "encrypt-only"
-	case ProtectionObfusMem:
-		return "obfusmem"
-	case ProtectionObfusMemAuth:
-		return "obfusmem+auth"
-	case ProtectionORAM:
-		return "oram"
-	case ProtectionPalermo:
-		return "palermo"
-	default:
-		return fmt.Sprintf("Protection(%d)", int(p))
-	}
-}
+// Schemes lists the registered protection schemes in presentation order:
+// "unprotected" (plaintext commands, addresses and data on the bus),
+// "encrypt-only" (counter-mode memory encryption), "obfusmem" (access
+// obfuscation without bus authentication), "obfusmem-auth" (plus
+// encrypt-and-MAC, the paper's full design), "palermo" (the oblivious
+// memory of arXiv 2411.05400) and "oram" (the paper's optimistic Path ORAM
+// performance model).
+func Schemes() []string { return system.Schemes() }
 
 // Re-exported ObfusMem design knobs (see the paper's Section 3).
 type (
@@ -123,19 +88,21 @@ type Time = sim.Time
 
 // MachineConfig describes a machine to build.
 type MachineConfig struct {
-	Protection Protection
+	// Scheme is the registered protection scheme (see Schemes); empty
+	// means "unprotected".
+	Scheme string
 	// Channels is the memory channel count (1, 2, 4, or 8; default 1).
 	Channels int
-	// Dummy, Policy, Order tune ObfusMem (ignored otherwise). Zero values
-	// are the paper's choices (fixed-address dummies; OPT applies only
-	// with >1 channel).
+	// Dummy, Policy, Order tune the ObfusMem schemes (ignored otherwise).
+	// Zero values are the paper's choices (fixed-address dummies; OPT
+	// applies only with >1 channel).
 	Dummy  DummyDesign
 	Policy ChannelPolicy
 	Order  PairOrder
 	// Symmetric selects the same-size-request alternative of Section 3.3.
 	Symmetric bool
 	// MAC overrides the authentication mode (ablation use); zero value
-	// defers to the Protection level (ObfusMemAuth => encrypt-and-MAC).
+	// defers to the scheme ("obfusmem-auth" => encrypt-and-MAC).
 	MAC MACMode
 	// TimingOblivious enables the Section 6.2 extension: fixed-cadence
 	// request issue, undropped dummies, and worst-case reply padding,
@@ -178,16 +145,22 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if cfg.Channels < 1 || cfg.Channels > 8 || cfg.Channels&(cfg.Channels-1) != 0 {
 		return nil, fmt.Errorf("obfusmem: channels must be 1, 2, 4, or 8 (got %d)", cfg.Channels)
 	}
-	sc := system.Config{Channels: cfg.Channels, Seed: cfg.Seed, FullHandshake: cfg.FullHandshake,
-		IntegrityTree: cfg.IntegrityTree, WearLevel: cfg.WearLevel, DRAM: cfg.DRAM}
-	switch cfg.Protection {
-	case ProtectionNone:
-		sc.Mode = system.Unprotected
-	case ProtectionEncrypt:
-		sc.Mode = system.EncryptOnly
-	case ProtectionObfusMem, ProtectionObfusMemAuth:
-		sc.Mode = system.ObfusMem
-		oc := obfus.Default()
+	scheme := cfg.Scheme
+	if scheme == "" {
+		scheme = system.Unprotected
+	}
+	sc, err := system.DefaultConfigByName(scheme)
+	if err != nil {
+		return nil, fmt.Errorf("obfusmem: %w", err)
+	}
+	sc.Channels = cfg.Channels
+	sc.Seed = cfg.Seed
+	sc.FullHandshake = cfg.FullHandshake
+	sc.IntegrityTree = cfg.IntegrityTree
+	sc.WearLevel = cfg.WearLevel
+	sc.DRAM = cfg.DRAM
+	if d, _ := backend.Lookup(scheme); d.Uses.Obfus {
+		oc := &sc.Obfus
 		oc.Dummy = cfg.Dummy
 		oc.Order = cfg.Order
 		oc.Symmetric = cfg.Symmetric
@@ -195,19 +168,9 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		if cfg.Policy != obfus.PolicyNone {
 			oc.Policy = cfg.Policy
 		}
-		if cfg.Protection == ProtectionObfusMemAuth {
-			oc.MAC = obfus.EncryptAndMAC
-		}
 		if cfg.MAC != obfus.MACNone {
 			oc.MAC = cfg.MAC
 		}
-		sc.Obfus = oc
-	case ProtectionORAM:
-		sc.Mode = system.ORAM
-	case ProtectionPalermo:
-		sc.Mode = system.Palermo
-	default:
-		return nil, fmt.Errorf("obfusmem: unknown protection %v", cfg.Protection)
 	}
 	return &Machine{sys: system.New(sc), cfg: cfg, core: cpu.DefaultConfig()}, nil
 }

@@ -9,8 +9,8 @@ func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(MachineConfig{Channels: 3}); err == nil {
 		t.Error("3 channels accepted")
 	}
-	if _, err := NewMachine(MachineConfig{Protection: Protection(99)}); err == nil {
-		t.Error("unknown protection accepted")
+	if _, err := NewMachine(MachineConfig{Scheme: "none"}); err == nil {
+		t.Error("unknown scheme accepted")
 	}
 	m, err := NewMachine(MachineConfig{})
 	if err != nil {
@@ -18,21 +18,6 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 	if m == nil {
 		t.Fatal("nil machine")
-	}
-}
-
-func TestProtectionStrings(t *testing.T) {
-	want := map[Protection]string{
-		ProtectionNone:         "none",
-		ProtectionEncrypt:      "encrypt-only",
-		ProtectionObfusMem:     "obfusmem",
-		ProtectionObfusMemAuth: "obfusmem+auth",
-		ProtectionORAM:         "oram",
-	}
-	for p, s := range want {
-		if p.String() != s {
-			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), s)
-		}
 	}
 }
 
@@ -45,8 +30,8 @@ func TestBenchmarksList(t *testing.T) {
 
 func TestRunBenchmarkAcrossProtections(t *testing.T) {
 	var execs []Time
-	for _, p := range []Protection{ProtectionNone, ProtectionEncrypt, ProtectionObfusMemAuth, ProtectionORAM} {
-		m, err := NewMachine(MachineConfig{Protection: p, Seed: 3})
+	for _, p := range []string{"unprotected", "encrypt-only", "obfusmem-auth", "oram"} {
+		m, err := NewMachine(MachineConfig{Scheme: p, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +44,7 @@ func TestRunBenchmarkAcrossProtections(t *testing.T) {
 		}
 		execs = append(execs, res.ExecTime)
 	}
-	// none <= encrypt <= obfusmem+auth << oram
+	// unprotected <= encrypt-only <= obfusmem-auth << oram
 	if !(execs[0] <= execs[1] && execs[1] <= execs[2] && execs[2] < execs[3]) {
 		t.Fatalf("execution times out of order: %v", execs)
 	}
@@ -76,7 +61,7 @@ func TestRunBenchmarkErrors(t *testing.T) {
 }
 
 func TestObserverAndTraffic(t *testing.T) {
-	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, Seed: 5})
+	m, _ := NewMachine(MachineConfig{Scheme: "obfusmem-auth", Seed: 5})
 	obs := m.AttachObserver(1 << 16)
 	if _, err := m.RunBenchmark("lbm", 1500); err != nil {
 		t.Fatal(err)
@@ -97,7 +82,7 @@ func TestObserverAndTraffic(t *testing.T) {
 }
 
 func TestTampererDetection(t *testing.T) {
-	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, Seed: 6})
+	m, _ := NewMachine(MachineConfig{Scheme: "obfusmem-auth", Seed: 6})
 	tmp := m.AttachTamperer(TamperModify, 4)
 	if _, err := m.RunBenchmark("zeus", 1000); err != nil {
 		t.Fatal(err)
@@ -112,7 +97,7 @@ func TestTampererDetection(t *testing.T) {
 }
 
 func TestDirectReadWrite(t *testing.T) {
-	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMem})
+	m, _ := NewMachine(MachineConfig{Scheme: "obfusmem"})
 	done := m.Read(0, 4096)
 	if done <= 0 {
 		t.Fatal("read returned non-positive time")
@@ -161,7 +146,7 @@ func TestExperimentFacadeSmoke(t *testing.T) {
 }
 
 func TestRunHierarchyOnMachine(t *testing.T) {
-	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, Seed: 8})
+	m, _ := NewMachine(MachineConfig{Scheme: "obfusmem-auth", Seed: 8})
 	w := DefaultHierarchyWorkload()
 	res := m.RunHierarchy(w, 15000)
 	if res.Instructions == 0 || res.IPC <= 0 || res.LLCMisses == 0 {
@@ -176,7 +161,7 @@ func TestRunHierarchyOnMachine(t *testing.T) {
 
 func TestTimingObliviousOnMachine(t *testing.T) {
 	m, _ := NewMachine(MachineConfig{
-		Protection: ProtectionObfusMemAuth, TimingOblivious: true, Seed: 9})
+		Scheme: "obfusmem-auth", TimingOblivious: true, Seed: 9})
 	res, err := m.RunBenchmark("xalan", 800)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +179,7 @@ func TestTimingObliviousOnMachine(t *testing.T) {
 }
 
 func TestWearLevelOnMachine(t *testing.T) {
-	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, WearLevel: true, Seed: 10})
+	m, _ := NewMachine(MachineConfig{Scheme: "obfusmem-auth", WearLevel: true, Seed: 10})
 	if _, err := m.RunBenchmark("lbm", 1500); err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +190,8 @@ func TestWearLevelOnMachine(t *testing.T) {
 }
 
 func TestIntegrityTreeOnMachine(t *testing.T) {
-	with, _ := NewMachine(MachineConfig{Protection: ProtectionEncrypt, IntegrityTree: true, Seed: 11})
-	without, _ := NewMachine(MachineConfig{Protection: ProtectionEncrypt, Seed: 11})
+	with, _ := NewMachine(MachineConfig{Scheme: "encrypt-only", IntegrityTree: true, Seed: 11})
+	without, _ := NewMachine(MachineConfig{Scheme: "encrypt-only", Seed: 11})
 	rw, _ := with.RunBenchmark("mcf", 1500)
 	ro, _ := without.RunBenchmark("mcf", 1500)
 	// Verification traffic adds bus bytes but (lazy checking) only mildly
@@ -224,13 +209,13 @@ func TestReplayTraceOnMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, Seed: 12})
+	m, _ := NewMachine(MachineConfig{Scheme: "obfusmem-auth", Seed: 12})
 	res := m.ReplayTrace("zeus-trace", reqs)
 	if res.Requests != 1200 || res.ExecTime <= 0 {
 		t.Fatalf("replay degenerate: %+v", res)
 	}
 	// Same trace on the same machine config is deterministic.
-	m2, _ := NewMachine(MachineConfig{Protection: ProtectionObfusMemAuth, Seed: 12})
+	m2, _ := NewMachine(MachineConfig{Scheme: "obfusmem-auth", Seed: 12})
 	res2 := m2.ReplayTrace("zeus-trace", reqs)
 	if res.ExecTime != res2.ExecTime {
 		t.Fatal("trace replay not deterministic")
