@@ -21,9 +21,10 @@
 #                  MD5 MAC and AES pad kernels, trace
 #                  recorder spans and request scope, traced bus leg, core
 #                  model drive loop, workload stream, with the Pareto
-#                  sampler's differential seeds) plus short
-#                  benchmarks of the event engine and the obfus datapath
-#                  (untapped and observed);
+#                  sampler's differential seeds, and leakage scoring's
+#                  length-independent allocation count) plus short
+#                  benchmarks of the event engine, the obfus datapath
+#                  (untapped and observed) and leakage.Evaluate;
 #                  fails if the alloc guards regress (runs in CI)
 #   make campaign-smoke - end-to-end crash/resume gate: runs a small real
 #                  campaign, SIGKILLs it mid-grid, resumes, and fails unless
@@ -92,9 +93,9 @@ bench:
 	$(GO) test -tags benchtraj -run TestEmitBenchTrajectory -bench . -benchmem . -args -pr=$(PR)
 
 bench-smoke:
-	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestReadWriteLegObservedZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs|TestSpanZeroAllocs|TestRequestCycleZeroAllocs|TestTransferTracedZeroAllocs|TestRunZeroAllocsPerRequest|TestStreamNextZeroAllocs|FuzzBoundedParetoMatchesSpec' \
-		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg|BenchmarkReadWriteLegObserved' \
-		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/md5sim ./internal/aes ./internal/trace ./internal/bus ./internal/cpu ./internal/workload ./internal/xrand
+	$(GO) test -run 'TestScheduleFireRecycleZeroAllocs|TestReadWriteLegZeroAllocs|TestReadWriteLegObservedZeroAllocs|TestComputeZeroAllocs|TestPadZeroAllocs|TestEncryptBlock64ZeroAllocs|TestSpanZeroAllocs|TestRequestCycleZeroAllocs|TestTransferTracedZeroAllocs|TestRunZeroAllocsPerRequest|TestStreamNextZeroAllocs|FuzzBoundedParetoMatchesSpec|TestEvaluateAllocs' \
+		-bench 'BenchmarkEngineChurn|BenchmarkBaselineChurn|BenchmarkReadWriteLeg|BenchmarkReadWriteLegObserved|BenchmarkEvaluate' \
+		-benchtime 200ms -benchmem ./internal/sim ./internal/obfus ./internal/md5sim ./internal/aes ./internal/trace ./internal/bus ./internal/cpu ./internal/workload ./internal/xrand ./internal/leakage
 	$(GO) test -run 'TestHotPathZeroAllocs|TestNoSilentlyLostRequests' ./internal/backend
 	$(GO) run ./cmd/obfsim -exp backends -requests 1500 > /dev/null
 	$(GO) run ./cmd/obfsim -exp leakage -requests 1500 > /dev/null

@@ -82,6 +82,30 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMetricsSnapshotDeterministic runs the same parallel (default
+// workers) figure 5 sweep twice with -metrics-out: the snapshots must be
+// byte-identical, histogram sums and means included, although the cells
+// observe into one shared registry in no fixed order.
+func TestMetricsSnapshotDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	snap := func(name string) []byte {
+		out := filepath.Join(dir, name)
+		args := []string{"-exp", "figure5", "-requests", "800", "-metrics-out", out}
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("run(%v): %v\nstderr: %s", args, err, stderr.String())
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if a, b := snap("a.json"), snap("b.json"); !bytes.Equal(a, b) {
+		t.Fatalf("two identical -metrics-out runs wrote different snapshots (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
 // TestMetricsOffByDefault asserts a plain run registers nothing (the
 // paper-reproduction path must stay unobserved unless asked).
 func TestMetricsOffByDefault(t *testing.T) {

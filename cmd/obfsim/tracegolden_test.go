@@ -67,6 +67,39 @@ func TestTraceExportGolden(t *testing.T) {
 	}
 }
 
+// TestLeakageExportGolden byte-compares the -exp leakage table and its
+// -leakage-out JSON against SHA-256 digests of the reference outputs, so any
+// change to the observer or the scoring pipeline must keep every mutual
+// information, recovery and classifier figure bit-identical. Regenerate with
+//
+//	obfsim -exp leakage -requests 600 -leakage-out r.json > s.txt
+//	sha256sum s.txt r.json
+func TestLeakageExportGolden(t *testing.T) {
+	want := readDigests(t, filepath.Join("testdata", "leakage_exports.sha256"))
+	report := filepath.Join(t.TempDir(), "report.json")
+	args := []string{"-exp", "leakage", "-requests", "600", "-leakage-out", report}
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", args, err, stderr.String())
+	}
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for golden, data := range map[string][]byte{
+		"leakage.stdout.txt":  stdout.Bytes(),
+		"leakage.report.json": raw,
+	} {
+		sum := sha256.Sum256(data)
+		got := hex.EncodeToString(sum[:])
+		if w, ok := want[golden]; !ok {
+			t.Errorf("no digest for %s in testdata", golden)
+		} else if got != w {
+			t.Errorf("%s: sha256 %s, want %s (output is no longer byte-identical)", golden, got, w)
+		}
+	}
+}
+
 // readDigests parses "<hex sha256> <name>" lines.
 func readDigests(t *testing.T, path string) map[string]string {
 	t.Helper()

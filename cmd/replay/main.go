@@ -2,8 +2,8 @@
 // cmd/tracegen) against a machine under a chosen protection scheme and
 // reports execution statistics — comparing schemes on identical traffic.
 // -protection takes a registered scheme name, or all for every scheme in
-// presentation order (unprotected first, the baseline of the overhead
-// column).
+// presentation order. The overhead column is always measured against an
+// unprotected replay of the same trace, run even when not printed.
 //
 // Example:
 //
@@ -22,6 +22,9 @@ import (
 
 	"obfusmem"
 )
+
+// baseline is the scheme every row's overhead is measured against.
+const baseline = "unprotected"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
@@ -73,18 +76,28 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "replay: %d requests loaded\n", len(reqs))
 
-	fmt.Fprintf(stdout, "%-16s %14s %12s %12s\n", "protection", "exec time", "mean read", "overhead")
-	var base obfusmem.Result
-	for i, name := range schemes {
+	replay := func(name string) (obfusmem.Result, error) {
 		m, err := obfusmem.NewMachine(obfusmem.MachineConfig{
 			Scheme: name, Channels: *channels, Seed: *seed})
 		if err != nil {
-			fmt.Fprintln(stderr, "replay:", err)
-			return 1
+			return obfusmem.Result{}, err
 		}
-		res := m.ReplayTrace(name, reqs)
-		if i == 0 {
-			base = res
+		return m.ReplayTrace(name, reqs), nil
+	}
+	base, err := replay(baseline)
+	if err != nil {
+		fmt.Fprintln(stderr, "replay:", err)
+		return 1
+	}
+
+	fmt.Fprintf(stdout, "%-16s %14s %12s %12s\n", "protection", "exec time", "mean read", "overhead")
+	for _, name := range schemes {
+		res := base
+		if name != baseline {
+			if res, err = replay(name); err != nil {
+				fmt.Fprintln(stderr, "replay:", err)
+				return 1
+			}
 		}
 		fmt.Fprintf(stdout, "%-16s %14v %9.0f ns %11.1f%%\n",
 			name, res.ExecTime, res.MeanReadNS, obfusmem.Overhead(base, res))

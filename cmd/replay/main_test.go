@@ -103,3 +103,33 @@ func TestRowMatchesReplayTrace(t *testing.T) {
 		t.Errorf("output\n%s\nhas no row %q", out, want)
 	}
 }
+
+// TestSingleSchemeOverheadVsUnprotected: a run that prints one protected
+// scheme still measures its overhead against an unprotected replay, so the
+// row is nonzero and identical to that scheme's row in the all run.
+func TestSingleSchemeOverheadVsUnprotected(t *testing.T) {
+	tr := traceCSV(t)
+	overhead := func(out, scheme string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == scheme {
+				return f[len(f)-1]
+			}
+		}
+		t.Fatalf("no %s row in\n%s", scheme, out)
+		return ""
+	}
+	_, all, _ := replay(t, tr, "-protection", "all")
+	for _, s := range []string{"oram", "obfusmem-auth"} {
+		code, out, errs := replay(t, tr, "-protection", s)
+		if code != 0 {
+			t.Fatalf("-protection %s: exit %d: %s", s, code, errs)
+		}
+		got := overhead(out, s)
+		if got == "0.0%" {
+			t.Errorf("-protection %s: overhead %s, want nonzero (unprotected baseline)", s, got)
+		}
+		if want := overhead(all, s); got != want {
+			t.Errorf("-protection %s: overhead %s, want %s as in the all run", s, got, want)
+		}
+	}
+}

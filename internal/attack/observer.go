@@ -11,32 +11,19 @@ package attack
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"obfusmem/internal/bus"
 	"obfusmem/internal/sim"
 )
 
-// pktRecord is the attacker-visible projection of one transfer, plus the
-// ground truth used for scoring.
-type pktRecord struct {
-	at      sim.Time
-	channel int
-	dir     bus.Direction
-	cmd     [bus.CmdBytes]byte
-	hasCmd  bool
-	size    int
-
-	// ground truth for scoring only
-	truthType  bus.ReqType
-	truthAddr  uint64
-	truthDummy bool
-	plaintext  bool
-}
-
-// Observer is a passive bus tap.
+// Observer is a passive bus tap. It records each transfer straight into
+// two parallel traces: the attacker-visible Wire view and the Truth used
+// only for scoring.
 type Observer struct {
-	records  []pktRecord
+	wire     []Wire
+	truth    []Truth
 	limit    int
 	channels int
 }
@@ -48,35 +35,40 @@ func NewObserver(channels, limit int) *Observer {
 
 // Observe implements bus.Observer.
 func (o *Observer) Observe(at sim.Time, p *bus.Packet) {
-	if len(o.records) >= o.limit {
+	if len(o.wire) >= o.limit {
 		return
 	}
-	o.records = append(o.records, pktRecord{
-		at:         at,
-		channel:    p.Channel,
-		dir:        p.Dir,
-		cmd:        p.CmdCipher,
-		hasCmd:     p.HasCmd,
-		size:       p.WireBytes(),
-		truthType:  p.Type,
-		truthAddr:  p.Addr,
-		truthDummy: p.IsDummy,
-		plaintext:  p.Plaintext,
+	if len(o.wire) == cap(o.wire) {
+		// Double both traces together. A run records thousands of
+		// packets, and append's 1.25x steps past 256 elements would copy
+		// each trace several times over.
+		o.wire = slices.Grow(o.wire, max(len(o.wire), 1024))
+		o.truth = slices.Grow(o.truth, max(len(o.truth), 1024))
+	}
+	o.wire = append(o.wire, Wire{
+		At:        at,
+		Channel:   p.Channel,
+		Dir:       p.Dir,
+		Cmd:       p.CmdCipher,
+		HasCmd:    p.HasCmd,
+		Size:      p.WireBytes(),
+		Plaintext: p.Plaintext,
 	})
+	o.truth = append(o.truth, Truth{Type: p.Type, Addr: p.Addr, Dummy: p.IsDummy})
 }
 
 // Packets returns the number of recorded transfers.
-func (o *Observer) Packets() int { return len(o.records) }
+func (o *Observer) Packets() int { return len(o.wire) }
 
 // obsKey is the attacker's canonical view of one command field: on a
 // plaintext bus the attacker parses out the address (ignoring the type
 // byte); on an encrypted bus all 16 bytes are opaque.
-func (r *pktRecord) obsKey() [bus.CmdBytes]byte {
-	if !r.plaintext {
-		return r.cmd
+func (w *Wire) obsKey() [bus.CmdBytes]byte {
+	if !w.Plaintext {
+		return w.Cmd
 	}
 	var k [bus.CmdBytes]byte
-	copy(k[:8], r.cmd[1:9])
+	copy(k[:8], w.Cmd[1:9])
 	return k
 }
 
@@ -87,12 +79,13 @@ func (r *pktRecord) obsKey() [bus.CmdBytes]byte {
 func (o *Observer) TemporalLeakage() float64 {
 	seen := make(map[[bus.CmdBytes]byte]bool)
 	repeats, total := 0, 0
-	for _, r := range o.records {
-		if !r.hasCmd || r.dir != bus.ProcToMem {
+	for i := range o.wire {
+		w := &o.wire[i]
+		if !w.HasCmd || w.Dir != bus.ProcToMem {
 			continue
 		}
 		total++
-		k := r.obsKey()
+		k := w.obsKey()
 		if seen[k] {
 			repeats++
 		}
@@ -109,9 +102,9 @@ func (o *Observer) TemporalLeakage() float64 {
 // seen. Scored against truth by FootprintError.
 func (o *Observer) FootprintEstimate() int {
 	distinct := make(map[[bus.CmdBytes]byte]bool)
-	for _, r := range o.records {
-		if r.hasCmd && r.dir == bus.ProcToMem {
-			distinct[r.obsKey()] = true
+	for i := range o.wire {
+		if w := &o.wire[i]; w.HasCmd && w.Dir == bus.ProcToMem {
+			distinct[w.obsKey()] = true
 		}
 	}
 	return len(distinct)
@@ -120,9 +113,9 @@ func (o *Observer) FootprintEstimate() int {
 // TrueFootprint returns the real number of distinct non-dummy addresses.
 func (o *Observer) TrueFootprint() int {
 	distinct := make(map[uint64]bool)
-	for _, r := range o.records {
-		if r.hasCmd && !r.truthDummy && r.dir == bus.ProcToMem {
-			distinct[r.truthAddr] = true
+	for i, w := range o.wire {
+		if w.HasCmd && !o.truth[i].Dummy && w.Dir == bus.ProcToMem {
+			distinct[o.truth[i].Addr] = true
 		}
 	}
 	return len(distinct)
@@ -145,8 +138,8 @@ func (o *Observer) FootprintError() float64 {
 func (o *Observer) ShapeProfile() map[[2]int]float64 {
 	counts := make(map[[2]int]int)
 	total := 0
-	for _, r := range o.records {
-		counts[[2]int{int(r.dir), r.size}]++
+	for _, w := range o.wire {
+		counts[[2]int{int(w.Dir), w.Size}]++
 		total++
 	}
 	out := make(map[[2]int]float64, len(counts))
@@ -188,15 +181,15 @@ func (o *Observer) SpatialCorrelation(window sim.Time) float64 {
 	}
 	type key int64
 	active := make(map[key]map[int]bool)
-	for _, r := range o.records {
-		if r.dir != bus.ProcToMem {
+	for _, r := range o.wire {
+		if r.Dir != bus.ProcToMem {
 			continue
 		}
-		w := key(r.at / window)
+		w := key(r.At / window)
 		if active[w] == nil {
 			active[w] = make(map[int]bool)
 		}
-		active[w][r.channel] = true
+		active[w][r.Channel] = true
 	}
 	if len(active) == 0 {
 		return 0
@@ -223,14 +216,15 @@ func (o *Observer) DictionaryAttack() float64 {
 		pt uint64
 	}
 	var stream []pair
-	for _, r := range o.records {
-		if !r.hasCmd || r.dir != bus.ProcToMem || r.truthDummy {
+	for i := range o.wire {
+		w, tr := &o.wire[i], o.truth[i]
+		if !w.HasCmd || w.Dir != bus.ProcToMem || tr.Dummy {
 			continue
 		}
-		k := r.obsKey()
+		k := w.obsKey()
 		ctFreq[k]++
-		ptFreq[r.truthAddr]++
-		stream = append(stream, pair{k, r.truthAddr})
+		ptFreq[tr.Addr]++
+		stream = append(stream, pair{k, tr.Addr})
 	}
 	if len(stream) == 0 {
 		return 0
@@ -292,9 +286,9 @@ func lessCmd(a, b [bus.CmdBytes]byte) bool {
 // raw material for inter-channel inference.
 func (o *Observer) RequestRateOnChannel() []int {
 	counts := make([]int, o.channels)
-	for _, r := range o.records {
-		if r.dir == bus.ProcToMem && r.channel < o.channels {
-			counts[r.channel]++
+	for _, w := range o.wire {
+		if w.Dir == bus.ProcToMem && w.Channel < o.channels {
+			counts[w.Channel]++
 		}
 	}
 	return counts

@@ -22,14 +22,14 @@ const eventClusterWindow = 5 * sim.Nanosecond
 // one channel (all channels when ch < 0).
 func (o *Observer) interArrivals(ch int) []sim.Time {
 	var times []sim.Time
-	for _, r := range o.records {
-		if r.dir != bus.ProcToMem {
+	for _, w := range o.wire {
+		if w.Dir != bus.ProcToMem {
 			continue
 		}
-		if ch >= 0 && r.channel != ch {
+		if ch >= 0 && w.Channel != ch {
 			continue
 		}
-		times = append(times, r.at)
+		times = append(times, w.At)
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	// Cluster into events.

@@ -33,29 +33,11 @@ type Truth struct {
 }
 
 // WireTrace returns the attacker-visible view of every recorded transfer,
-// in observation order.
-func (o *Observer) WireTrace() []Wire {
-	out := make([]Wire, len(o.records))
-	for i, r := range o.records {
-		out[i] = Wire{
-			At:        r.at,
-			Channel:   r.channel,
-			Dir:       r.dir,
-			Cmd:       r.cmd,
-			HasCmd:    r.hasCmd,
-			Size:      r.size,
-			Plaintext: r.plaintext,
-		}
-	}
-	return out
-}
+// in observation order. The slice is the observer's own storage, not a
+// copy: callers must treat it as read-only.
+func (o *Observer) WireTrace() []Wire { return o.wire }
 
 // TruthTrace returns the ground-truth view parallel to WireTrace: entry i
-// describes the same transfer as WireTrace()[i]. For scoring only.
-func (o *Observer) TruthTrace() []Truth {
-	out := make([]Truth, len(o.records))
-	for i, r := range o.records {
-		out[i] = Truth{Type: r.truthType, Addr: r.truthAddr, Dummy: r.truthDummy}
-	}
-	return out
-}
+// describes the same transfer as WireTrace()[i]. For scoring only; like
+// WireTrace it is the observer's own storage and read-only.
+func (o *Observer) TruthTrace() []Truth { return o.truth }

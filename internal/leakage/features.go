@@ -15,12 +15,16 @@ import (
 // perf model, or a truncated trace). Outside the packed feature range.
 const noneSymbol uint64 = 1 << 10
 
-// cmdIndices returns the wire indices of proc->mem command-bearing
-// transfers — the request-side events an attacker counts and times.
+// isCmd reports whether a transfer is a proc->mem command-bearing one —
+// a request-side event an attacker counts and times.
+func isCmd(w *attack.Wire) bool { return w.HasCmd && w.Dir == bus.ProcToMem }
+
+// cmdIndices returns the wire indices of the command transfers, in trace
+// order. Evaluate builds it once and hands it to every stage.
 func cmdIndices(wire []attack.Wire) []int {
 	idx := make([]int, 0, len(wire))
-	for i, w := range wire {
-		if w.HasCmd && w.Dir == bus.ProcToMem {
+	for i := range wire {
+		if isCmd(&wire[i]) {
 			idx = append(idx, i)
 		}
 	}
@@ -95,30 +99,34 @@ const FeatureDim = 8
 // maps to the zero vector — by construction indistinguishable from any
 // other such trace.
 func TraceFeatures(wire []attack.Wire) []float64 {
+	return traceFeatures(wire, cmdIndices(wire))
+}
+
+// traceFeatures is TraceFeatures over a prebuilt command index.
+func traceFeatures(wire []attack.Wire, cmds []int) []float64 {
 	v := make([]float64, FeatureDim)
-	cmds := cmdIndices(wire)
 	if len(wire) == 0 || len(cmds) == 0 {
 		return v
 	}
 
-	var gaps []float64
-	for k := 1; k < len(cmds); k++ {
-		gaps = append(gaps, (wire[cmds[k]].At - wire[cmds[k-1]].At).Float64Nanos())
-	}
+	// The command inter-arrival gaps, read in trace order by each pass.
+	nGaps := len(cmds) - 1
+	gap := func(k int) float64 { return (wire[cmds[k+1]].At - wire[cmds[k]].At).Float64Nanos() }
 	var gapMean, gapVar float64
-	for _, g := range gaps {
-		gapMean += g
+	for k := 0; k < nGaps; k++ {
+		gapMean += gap(k)
 	}
-	if len(gaps) > 0 {
-		gapMean /= float64(len(gaps))
-		for _, g := range gaps {
+	if nGaps > 0 {
+		gapMean /= float64(nGaps)
+		for k := 0; k < nGaps; k++ {
+			g := gap(k)
 			gapVar += (g - gapMean) * (g - gapMean)
 		}
-		gapVar /= float64(len(gaps))
+		gapVar /= float64(nGaps)
 	}
 	short := 0
-	for _, g := range gaps {
-		if g < gapMean/2 {
+	for k := 0; k < nGaps; k++ {
+		if gap(k) < gapMean/2 {
 			short++
 		}
 	}
@@ -147,8 +155,8 @@ func TraceFeatures(wire []attack.Wire) []float64 {
 	if gapMean > 0 {
 		v[3] = math.Sqrt(gapVar) / gapMean // coefficient of variation
 	}
-	if len(gaps) > 0 {
-		v[4] = float64(short) / float64(len(gaps))
+	if nGaps > 0 {
+		v[4] = float64(short) / float64(nGaps)
 	}
 	v[5] = bytes / float64(len(wire))
 	if toMem > 0 {

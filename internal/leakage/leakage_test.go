@@ -134,14 +134,14 @@ func TestInterArrivalThreshold(t *testing.T) {
 }
 
 func TestModalDelta(t *testing.T) {
-	if d := modalDelta([]uint64{10, 12, 14, 16, 3}); d != 2 {
+	if d := modalDelta([]uint64{10, 12, 14, 16, 3}, nil); d != 2 {
 		t.Errorf("modalDelta = %d, want 2", d)
 	}
-	if d := modalDelta([]uint64{5}); d != 0 {
+	if d := modalDelta([]uint64{5}, nil); d != 0 {
 		t.Errorf("single-sample modalDelta = %d, want 0", d)
 	}
 	// Tie: deltas +1 and +3 appear once each; the smaller wins.
-	if d := modalDelta([]uint64{4, 5, 8}); d != 1 {
+	if d := modalDelta([]uint64{4, 5, 8}, nil); d != 1 {
 		t.Errorf("tied modalDelta = %d, want 1", d)
 	}
 }

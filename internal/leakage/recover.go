@@ -41,10 +41,29 @@ type Anchor struct {
 }
 
 // RecoverRows runs the pipeline over the trace and returns one guess per
-// wire index (non-command transfers stay unguessed).
+// wire index (non-command transfers stay unguessed). Anchors must be in
+// strictly increasing WireIndex order, as PlantAnchors returns them.
 func RecoverRows(wire []attack.Wire, anchors []Anchor) []RowGuess {
+	return recoverRows(wire, cmdIndices(wire), anchors)
+}
+
+// channelState is one channel's share of the pipeline: its anchor rows and
+// command gaps in trace order, the stride and threshold estimated from
+// them, and the walk's running position.
+type channelState struct {
+	rows    []uint64  // anchor rows (stages 1 and 3)
+	gaps    []float64 // command inter-arrival gaps, ns (stage 2)
+	stride  int64
+	thr     float64
+	lastRow uint64
+	haveRow bool
+	prevAt  sim.Time
+	started bool
+}
+
+// recoverRows is RecoverRows over a prebuilt command index.
+func recoverRows(wire []attack.Wire, cmds []int, anchors []Anchor) []RowGuess {
 	out := make([]RowGuess, len(wire))
-	cmds := cmdIndices(wire)
 	if len(cmds) == 0 {
 		return out
 	}
@@ -55,50 +74,69 @@ func RecoverRows(wire []attack.Wire, anchors []Anchor) []RowGuess {
 			channels = wire[i].Channel + 1
 		}
 	}
+	st := make([]channelState, channels)
 
-	anchorRow := make(map[int]uint64, len(anchors))
+	// Each channel's rows and gaps are windows of two shared buffers, sized
+	// by a counting pass so the appends below never reallocate.
+	// An anchor only counts on a command transfer, as the walk meets it.
+	onCmd := func(a Anchor) bool {
+		return a.WireIndex >= 0 && a.WireIndex < len(wire) && isCmd(&wire[a.WireIndex])
+	}
+	nRows := make([]int, channels)
+	nCmds := make([]int, channels)
 	for _, a := range anchors {
-		anchorRow[a.WireIndex] = a.Row
+		if onCmd(a) {
+			nRows[wire[a.WireIndex].Channel]++
+		}
+	}
+	for _, i := range cmds {
+		nCmds[wire[i].Channel]++
+	}
+	rowBuf := make([]uint64, len(anchors))
+	gapBuf := make([]float64, len(cmds))
+	for ch, r, g := 0, 0, 0; ch < channels; ch++ {
+		st[ch].rows = rowBuf[r : r : r+nRows[ch]]
+		st[ch].gaps = gapBuf[g : g : g+nCmds[ch]]
+		r += nRows[ch]
+		g += nCmds[ch]
 	}
 
 	// Stage 1+3 seed: per-channel anchor rows in trace order, for the
 	// fingerprint and the stride estimate.
-	anchorRows := make([][]uint64, channels)
-	for _, i := range cmds {
-		if row, ok := anchorRow[i]; ok {
-			ch := wire[i].Channel
-			anchorRows[ch] = append(anchorRows[ch], row)
+	for _, a := range anchors {
+		if onCmd(a) {
+			s := &st[wire[a.WireIndex].Channel]
+			s.rows = append(s.rows, a.Row)
 		}
 	}
-	stride := make([]int64, channels)
-	for ch := range stride {
-		stride[ch] = modalDelta(anchorRows[ch])
+	deltas := make([]int64, 0, len(anchors))
+	for ch := range st {
+		st[ch].stride = modalDelta(st[ch].rows, deltas)
 	}
 
-	// Stage 2: per-channel inter-arrival threshold.
-	gaps := make([][]float64, channels)
-	lastAt := make([]sim.Time, channels)
-	seen := make([]bool, channels)
+	// Stage 2: per-channel inter-arrival threshold. The gap pass borrows
+	// the walk's prevAt/started and clears them when done.
 	for _, i := range cmds {
-		ch := wire[i].Channel
-		if seen[ch] {
-			gaps[ch] = append(gaps[ch], (wire[i].At - lastAt[ch]).Float64Nanos())
+		s := &st[wire[i].Channel]
+		if s.started {
+			s.gaps = append(s.gaps, (wire[i].At - s.prevAt).Float64Nanos())
 		}
-		lastAt[ch], seen[ch] = wire[i].At, true
+		s.prevAt, s.started = wire[i].At, true
 	}
-	thr := make([]float64, channels)
-	for ch := range thr {
-		thr[ch] = interArrivalThreshold(gaps[ch])
+	for ch := range st {
+		s := &st[ch]
+		s.thr = interArrivalThreshold(s.gaps)
+		s.prevAt, s.started = 0, false
 	}
 
-	// Walk the command stream.
-	lastRow := make([]uint64, channels)
-	haveRow := make([]bool, channels)
-	prevAt := make([]sim.Time, channels)
-	started := make([]bool, channels)
+	// Walk the command stream, advancing through the anchors in step.
+	a := 0
 	for _, i := range cmds {
-		w := wire[i]
-		ch := w.Channel
+		w := &wire[i]
+		s := &st[w.Channel]
+		for a < len(anchors) && anchors[a].WireIndex < i {
+			a++
+		}
 		switch {
 		case w.Plaintext:
 			// Plaintext bus: the address is on the wire (bytes 1..8 of the
@@ -108,32 +146,26 @@ func RecoverRows(wire []attack.Wire, anchors []Anchor) []RowGuess {
 				addr = addr<<8 | uint64(w.Cmd[1+b])
 			}
 			out[i] = RowGuess{Row: addr / RowBytes, Guessed: true}
-		case hasAnchor(anchorRow, i):
-			row := anchorRow[i]
+		case a < len(anchors) && anchors[a].WireIndex == i:
+			row := anchors[a].Row
 			out[i] = RowGuess{Row: row, Guessed: true}
-			lastRow[ch], haveRow[ch] = row, true
-		case haveRow[ch]:
-			row := lastRow[ch]
-			if started[ch] && (w.At-prevAt[ch]).Float64Nanos() > thr[ch] {
+			s.lastRow, s.haveRow = row, true
+		case s.haveRow:
+			row := s.lastRow
+			if s.started && (w.At-s.prevAt).Float64Nanos() > s.thr {
 				// Row-miss-like gap: extrapolate along the modal stride.
-				next := int64(row) + stride[ch]
+				next := int64(row) + s.stride
 				if next < 0 {
 					next = 0
 				}
 				row = uint64(next)
 			}
 			out[i] = RowGuess{Row: row, Guessed: true}
-			lastRow[ch] = row
+			s.lastRow = row
 		}
-		prevAt[ch], started[ch] = w.At, true
+		s.prevAt, s.started = w.At, true
 	}
 	return out
-}
-
-// hasAnchor distinguishes "anchored at row 0" from "no anchor".
-func hasAnchor(m map[int]uint64, i int) bool {
-	_, ok := m[i]
-	return ok
 }
 
 // interArrivalThreshold separates a channel's command gaps into two
@@ -182,23 +214,25 @@ func interArrivalThreshold(gaps []float64) float64 {
 
 // modalDelta returns the most frequent difference between consecutive
 // values (ties broken toward the smaller delta), or 0 with fewer than two
-// samples — the stride estimate of the sequential-inference stage.
-func modalDelta(rows []uint64) int64 {
-	counts := make(map[int64]int)
+// samples — the stride estimate of the sequential-inference stage. The
+// deltas are sorted and counted in scratch's storage (grown if it is short).
+func modalDelta(rows []uint64, scratch []int64) int64 {
+	deltas := scratch[:0]
 	for k := 1; k < len(rows); k++ {
-		counts[int64(rows[k])-int64(rows[k-1])]++
-	}
-	deltas := make([]int64, 0, len(counts))
-	for d := range counts {
-		deltas = append(deltas, d)
+		deltas = append(deltas, int64(rows[k])-int64(rows[k-1]))
 	}
 	slices.Sort(deltas)
 	var best int64
 	bestN := 0
-	for _, d := range deltas {
-		if counts[d] > bestN {
-			best, bestN = d, counts[d]
+	for i := 0; i < len(deltas); {
+		j := i + 1
+		for j < len(deltas) && deltas[j] == deltas[i] {
+			j++
 		}
+		if j-i > bestN {
+			best, bestN = deltas[i], j-i
+		}
+		i = j
 	}
 	return best
 }

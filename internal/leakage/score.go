@@ -30,8 +30,16 @@ const (
 //
 //obfus:scoring
 func AlignToWire(wire []attack.Wire, issued []Issued) []int {
+	return alignToWire(wire, cmdIndices(wire), issued)
+}
+
+// alignToWire is AlignToWire over a prebuilt command index.
+//
+// Scoring: consumes the ground-truth request schedule.
+//
+//obfus:scoring
+func alignToWire(wire []attack.Wire, cmds []int, issued []Issued) []int {
 	align := make([]int, len(issued))
-	cmds := cmdIndices(wire)
 	k := 0
 	for i, rq := range issued {
 		for k < len(cmds) && wire[cmds[k]].At < rq.At {
@@ -48,7 +56,8 @@ func AlignToWire(wire []attack.Wire, issued []Issued) []int {
 }
 
 // PlantAnchors gives the recovery pipeline its known-plaintext footholds:
-// the first K aligned requests become anchors (K = min(frac·n, max)). It
+// the first K aligned requests become anchors (K = min(frac·n, max)), in
+// increasing wire order because the alignment is monotonic. It
 // returns the anchors and a parallel anchored[i] marker so scoring can
 // exclude them — an attacker is not credited for recovering what it already
 // knew.
@@ -131,17 +140,28 @@ type MIResult struct {
 //
 //obfus:scoring
 func RequestStreamMI(wire []attack.Wire, issued []Issued, align []int) MIResult {
-	// Precompute each command transfer's predecessor time on its channel so
-	// wireSymbol sees the same inter-arrival the attacker would.
-	prevCmdAt := make(map[int]sim.Time, len(wire))
+	return requestStreamMI(wire, cmdIndices(wire), issued, align)
+}
+
+// requestStreamMI is RequestStreamMI over a prebuilt command index.
+//
+// Scoring: pairs true request symbols with wire observations.
+//
+//obfus:scoring
+func requestStreamMI(wire []attack.Wire, cmds []int, issued []Issued, align []int) MIResult {
+	// Precompute each command transfer's predecessor time on its channel,
+	// indexed by wire index, so wireSymbol sees the same inter-arrival the
+	// attacker would.
+	prevCmdAt := make([]sim.Time, len(wire))
 	var lastAt [4]sim.Time
-	for _, i := range cmdIndices(wire) {
+	for _, i := range cmds {
 		ch := wire[i].Channel & 3
 		prevCmdAt[i] = lastAt[ch]
 		lastAt[ch] = wire[i].At
 	}
 
 	j := stats.NewJoint()
+	j.Grow(len(issued))
 	for i, rq := range issued {
 		ws := noneSymbol
 		if align[i] >= 0 {
@@ -171,7 +191,10 @@ type Evaluation struct {
 
 // Evaluate runs the full per-trace pipeline — feature extraction, anchor
 // planting, address recovery, recovery scoring, MI estimation — and records
-// a span per phase on rec (nil-safe) over the observed wire window.
+// a span per phase on rec (nil-safe) over the observed wire window. The
+// command index is built once and shared by every stage, and each stage is
+// one linear pass (plus sorts) with no per-element map, so scoring costs the
+// same few allocations whatever the trace length.
 //
 // Scoring: orchestrates scoring stages over the ground truth.
 //
@@ -188,20 +211,21 @@ func Evaluate(wire []attack.Wire, issued []Issued, rec *trace.Recorder) Evaluati
 
 	var ev Evaluation
 	ev.WirePackets = len(wire)
+	cmds := cmdIndices(wire)
 
 	span(names.SpanLeakFeatures)
-	ev.Features = TraceFeatures(wire)
+	ev.Features = traceFeatures(wire, cmds)
 
 	span(names.SpanLeakRecover)
-	align := AlignToWire(wire, issued)
+	align := alignToWire(wire, cmds, issued)
 	anchors, anchored := PlantAnchors(wire, issued, align)
 	ev.Anchors = len(anchors)
-	guesses := RecoverRows(wire, anchors)
+	guesses := recoverRows(wire, cmds, anchors)
 
 	span(names.SpanLeakScore)
 	ev.Recovery = ScoreRecovery(guesses, align, issued, anchored)
 
 	span(names.SpanLeakMI)
-	ev.MI = RequestStreamMI(wire, issued, align)
+	ev.MI = requestStreamMI(wire, cmds, issued, align)
 	return ev
 }

@@ -96,17 +96,24 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets. Bucket i counts
-// observations <= Bounds[i]; one implicit overflow bucket counts the rest.
-// Sum and extrema are tracked so means and tails survive the bucketing.
+// Histogram counts durations into fixed buckets. Observations are integer
+// picoseconds (a sim.Time); bounds, sum, mean and extrema read in
+// nanoseconds. Bucket i counts observations <= Bounds[i]; one implicit
+// overflow bucket counts the rest. Sum and extrema are tracked so means and
+// tails survive the bucketing. The sum is an integer, so it is the same
+// whatever order concurrent callers observe in.
 type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1, last is overflow
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-	minBits atomic.Uint64
-	maxBits atomic.Uint64
+	bounds []float64
+	counts []atomic.Uint64 // len(bounds)+1, last is overflow
+	count  atomic.Uint64
+	sumPS  atomic.Int64
+	minPS  atomic.Int64
+	maxPS  atomic.Int64
 }
+
+// psPerNS converts the picosecond observations to the nanoseconds a
+// histogram reports in.
+const psPerNS = 1000
 
 // LatencyBucketsNS is the default bucket layout for memory-system latencies
 // in nanoseconds: fine around the PCM row-hit/row-miss boundary (13.75 ns
@@ -118,40 +125,42 @@ func newHistogram(bounds []float64) *Histogram {
 	copy(b, bounds)
 	sort.Float64s(b)
 	h := &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	h.minPS.Store(math.MaxInt64)
+	h.maxPS.Store(math.MinInt64)
 	return h
 }
 
-// Observe records one value. No-op on a nil histogram.
+// Observe records one duration of ps picoseconds. No-op on a nil
+// histogram.
 //
 //obfus:hotpath
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(ps int64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := sort.SearchFloat64s(h.bounds, nanos(ps))
 	h.counts[i].Add(1)
 	h.count.Add(1)
+	h.sumPS.Add(ps)
 	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		old := h.minPS.Load()
+		if old <= ps || h.minPS.CompareAndSwap(old, ps) {
 			break
 		}
 	}
 	for {
-		old := h.minBits.Load()
-		if math.Float64frombits(old) <= v || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= v || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
+		old := h.maxPS.Load()
+		if old >= ps || h.maxPS.CompareAndSwap(old, ps) {
 			break
 		}
 	}
 }
+
+// nanos converts picoseconds to nanoseconds exactly as sim.Time's
+// Float64Nanos does.
+//
+//obfus:hotpath
+func nanos(ps int64) float64 { return float64(ps) / psPerNS }
 
 // Count returns the number of observations (zero for nil).
 func (h *Histogram) Count() uint64 {
@@ -166,7 +175,7 @@ func (h *Histogram) Mean() float64 {
 	if h == nil || h.count.Load() == 0 {
 		return 0
 	}
-	return math.Float64frombits(h.sumBits.Load()) / float64(h.count.Load())
+	return nanos(h.sumPS.Load()) / float64(h.count.Load())
 }
 
 // registryData is the shared store behind all scopes of one registry.
@@ -308,15 +317,15 @@ func (r *Registry) Snapshot() Snapshot {
 			Bounds: append([]float64(nil), h.bounds...),
 			Counts: make([]uint64, len(h.counts)),
 			Count:  h.count.Load(),
-			Sum:    math.Float64frombits(h.sumBits.Load()),
+			Sum:    nanos(h.sumPS.Load()),
 		}
 		for i := range h.counts {
 			hs.Counts[i] = h.counts[i].Load()
 		}
 		if hs.Count > 0 {
 			hs.Mean = hs.Sum / float64(hs.Count)
-			hs.Min = math.Float64frombits(h.minBits.Load())
-			hs.Max = math.Float64frombits(h.maxBits.Load())
+			hs.Min = nanos(h.minPS.Load())
+			hs.Max = nanos(h.maxPS.Load())
 		}
 		s.Histograms[name] = hs
 	}

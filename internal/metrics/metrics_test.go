@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"obfusmem/internal/xrand"
 )
 
 func TestNilRegistryIsSafe(t *testing.T) {
@@ -65,8 +67,8 @@ func TestGaugeSetMax(t *testing.T) {
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", []float64{10, 100})
-	for _, v := range []float64{5, 10, 50, 150, 1e6} {
-		h.Observe(v)
+	for _, ns := range []int64{5, 10, 50, 150, 1e6} {
+		h.Observe(ns * psPerNS)
 	}
 	snap := r.Snapshot().Histograms["lat"]
 	// Bucket 0: <=10 (5, 10); bucket 1: <=100 (50); overflow: 150, 1e6.
@@ -100,7 +102,7 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < each; i++ {
 				sc.Counter("ops").Inc()
 				sc.Gauge("hwm").SetMax(float64(w*each + i))
-				sc.Histogram("lat", LatencyBucketsNS).Observe(float64(i % 300))
+				sc.Histogram("lat", LatencyBucketsNS).Observe(int64(i%300) * psPerNS)
 			}
 		}(w)
 	}
@@ -120,7 +122,7 @@ func TestConcurrentUse(t *testing.T) {
 func TestWriteJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Scope("pcm.ch0").Counter("row_hits").Add(7)
-	r.Scope("pcm.ch0").Histogram("access_ns", LatencyBucketsNS).Observe(73.75)
+	r.Scope("pcm.ch0").Histogram("access_ns", LatencyBucketsNS).Observe(73750)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -143,5 +145,45 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("two snapshots of identical state differ")
+	}
+}
+
+// TestHistogramOrderIndependent feeds the same picosecond durations in
+// different shuffled orders from several goroutines: the snapshot, sum and
+// mean included, must come out identical every time, since cells of a
+// parallel suite observe into one shared registry in no fixed order.
+func TestHistogramOrderIndependent(t *testing.T) {
+	rng := xrand.New(5)
+	values := make([]int64, 4000)
+	for i := range values {
+		values[i] = int64(rng.Uint64n(3_000_000)) // up to 3 us, sub-ns resolution
+	}
+	snapshot := func(seed uint64) []byte {
+		r := NewRegistry()
+		h := r.Histogram("lat", LatencyBucketsNS)
+		order := xrand.New(seed).Perm(len(values))
+		const workers = 4
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := w; k < len(order); k += workers {
+					h.Observe(values[order[k]])
+				}
+			}(w)
+		}
+		wg.Wait()
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := snapshot(1)
+	for seed := uint64(2); seed <= 8; seed++ {
+		if got := snapshot(seed); !bytes.Equal(got, want) {
+			t.Fatalf("order %d snapshot differs:\n%s\nvs\n%s", seed, got, want)
+		}
 	}
 }

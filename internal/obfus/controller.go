@@ -125,7 +125,7 @@ func (c *Controller) observeMACSlack(encReady, sendReady sim.Time) {
 	if c.met.macSlackNS == nil {
 		return
 	}
-	c.met.macSlackNS.Observe((sendReady - encReady).Float64Nanos())
+	c.met.macSlackNS.Observe(int64(sendReady - encReady))
 }
 
 // acquireFrontEnd reserves the shared processor-side front end for one

@@ -310,7 +310,7 @@ func (c *Controller) retryLeg(cs *chanState, ch int, h half, failAt sim.Time) (d
 		}
 		c.stats.Recovered++
 		c.met.recovered.Inc()
-		c.met.recoveryNS.Observe((done - firstFail).Float64Nanos())
+		c.met.recoveryNS.Observe(int64(done - firstFail))
 		c.tr.rec.Instant(trace.ChannelPID(ch), c.tr.recovery, c.tr.recovered, done,
 			trace.Int(trace.KeyAttempt, int64(attempt)))
 		return done, ok

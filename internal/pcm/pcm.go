@@ -293,8 +293,8 @@ func (d *Device) Access(at sim.Time, rank, bankInRank int, row int64, write bool
 
 	start := b.res.Acquire(at, latency)
 	if d.met.accessNS != nil {
-		d.met.accessNS.Observe((start + latency - at).Float64Nanos())
-		d.met.bankWaitNS.Observe((start - at).Float64Nanos())
+		d.met.accessNS.Observe(int64(start + latency - at))
+		d.met.bankWaitNS.Observe(int64(start - at))
 	}
 	if d.tr.rec != nil {
 		pid := trace.ChannelPID(d.cfg.Channel)

@@ -93,15 +93,19 @@ func (p *Pipeline) Issue(at Time) (done Time) {
 }
 
 // IssueN schedules n back-to-back operations and returns the completion time
-// of the last one.
+// of the last one. It is n calls of Issue(at) in closed form: the first
+// starts when the pipeline frees up, each next one an Interval later.
 func (p *Pipeline) IssueN(at Time, n int) (done Time) {
 	if n <= 0 {
 		return at
 	}
-	for i := 0; i < n; i++ {
-		done = p.Issue(at)
-	}
-	return done
+	r := p.issue
+	start := max(at, r.freeAt)
+	span := Time(n) * p.Interval
+	r.freeAt = start + span
+	r.busyTime += span
+	r.uses += uint64(n)
+	return start + span - p.Interval + p.Latency
 }
 
 // Ops returns the number of operations issued.

@@ -296,6 +296,32 @@ func TestPipeline(t *testing.T) {
 	}
 }
 
+// TestIssueNMatchesIssueLoop checks IssueN's closed form against n calls
+// of Issue on an identical pipeline, over random occupancy, issue times
+// and counts: the completion time and the resource's FreeAt, BusyTime and
+// Uses must all agree.
+func TestIssueNMatchesIssueLoop(t *testing.T) {
+	f := func(free, at uint32, n int8, lat, ival uint16) bool {
+		latency, interval := Time(lat), Time(ival)+1
+		closed := NewPipeline("closed", latency, interval)
+		loop := NewPipeline("loop", latency, interval)
+		// Put both pipelines in the same busy state.
+		closed.issue.Acquire(0, Time(free))
+		loop.issue.Acquire(0, Time(free))
+		got := closed.IssueN(Time(at), int(n))
+		want := Time(at)
+		for i := 0; i < int(n); i++ {
+			want = loop.Issue(Time(at))
+		}
+		a, b := closed.issue, loop.issue
+		return got == want && a.FreeAt() == b.FreeAt() &&
+			a.BusyTime() == b.BusyTime() && a.Uses() == b.Uses()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPipelineInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -18,65 +18,80 @@
 // matches the marginals (determinism). Both estimators are exposed; reports
 // quote the corrected one and carry the plug-in value for reference.
 //
-// Everything here iterates count tables in sorted key order so the floating
-// point sums are bit-identical run to run (the determinism analyzer checks
-// this package).
+// Both tables keep their observations as one flat slice of symbols and
+// count them by sorting: a sorted slice is a run-length encoding of the
+// count table, visited in ascending key order, so the floating-point sums
+// are bit-identical run to run (the determinism analyzer checks this
+// package) and no hash map is built per symbol.
 package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
 // Hist is a frequency table over discrete symbols.
 type Hist struct {
-	counts map[uint64]int
-	n      int
+	syms []uint64
+	// Entropy sum and support of the first done observations, cached
+	// until the next Add.
+	done    int
+	sum     float64
+	support int
 }
 
 // NewHist returns an empty frequency table.
-func NewHist() *Hist { return &Hist{counts: make(map[uint64]int)} }
+func NewHist() *Hist { return &Hist{} }
 
 // Add records one observation of the symbol.
-func (h *Hist) Add(sym uint64) {
-	h.counts[sym]++
-	h.n++
-}
+func (h *Hist) Add(sym uint64) { h.syms = append(h.syms, sym) }
 
 // N returns the number of observations.
-func (h *Hist) N() int { return h.n }
+func (h *Hist) N() int { return len(h.syms) }
 
-// Support returns the number of distinct observed symbols.
-func (h *Hist) Support() int { return len(h.counts) }
-
-// sortedCounts returns the cell counts in ascending key order, the
-// deterministic iteration order for the float sums below.
-func (h *Hist) sortedCounts() []int {
-	keys := make([]uint64, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
+// tally sorts the observations and caches their count table's entropy sum
+// and support.
+func (h *Hist) tally() {
+	if h.done == len(h.syms) {
+		return
 	}
-	slices.Sort(keys)
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = h.counts[k]
-	}
-	return out
+	slices.Sort(h.syms)
+	h.sum, h.support = runSum(h.syms, ^uint64(0))
+	h.done = len(h.syms)
 }
 
-// entropyBits computes the plug-in entropy (bits) of a count vector with
-// total n: log2(n) - (1/n) sum c*log2(c).
-func entropyBits(counts []int, n int) float64 {
+// Support returns the number of distinct observed symbols.
+func (h *Hist) Support() int {
+	h.tally()
+	return h.support
+}
+
+// runSum walks a sorted key slice as a run-length encoded count table,
+// where keys equal under mask share a cell, and returns sum c*log2(c) over
+// the cells in ascending key order together with the number of cells.
+func runSum(sorted []uint64, mask uint64) (sum float64, cells int) {
+	for i := 0; i < len(sorted); {
+		k := sorted[i] & mask
+		j := i + 1
+		for j < len(sorted) && sorted[j]&mask == k {
+			j++
+		}
+		c := float64(j - i)
+		sum += c * math.Log2(c)
+		cells++
+		i = j
+	}
+	return sum, cells
+}
+
+// entropyBits computes the plug-in entropy (bits) of a count table with
+// total n from its runSum: log2(n) - (1/n) sum c*log2(c).
+func entropyBits(sum float64, n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	var s float64
-	for _, c := range counts {
-		if c > 0 {
-			s += float64(c) * math.Log2(float64(c))
-		}
-	}
-	return math.Log2(float64(n)) - s/float64(n)
+	return math.Log2(float64(n)) - sum/float64(n)
 }
 
 // millerMadowBits is the first-order bias correction (K-1)/(2n ln 2) in
@@ -89,64 +104,87 @@ func millerMadowBits(support, n int) float64 {
 }
 
 // EntropyBits returns the plug-in entropy in bits.
-func (h *Hist) EntropyBits() float64 { return entropyBits(h.sortedCounts(), h.n) }
+func (h *Hist) EntropyBits() float64 {
+	h.tally()
+	return entropyBits(h.sum, len(h.syms))
+}
 
 // EntropyBitsMM returns the Miller–Madow corrected entropy in bits.
 func (h *Hist) EntropyBitsMM() float64 {
-	return h.EntropyBits() + millerMadowBits(len(h.counts), h.n)
+	return h.EntropyBits() + millerMadowBits(h.Support(), len(h.syms))
 }
 
 // Joint accumulates paired observations (x, y) for mutual-information
-// estimation. Symbols must fit in 32 bits (the pair packs into one map key);
-// discretized wire-trace alphabets are far smaller.
+// estimation. Symbols must fit in 32 bits (the pair packs into one uint64
+// key); discretized wire-trace alphabets are far smaller.
 type Joint struct {
-	xy   map[uint64]int
-	x, y map[uint64]int
-	n    int
+	keys []uint64 // x<<32 | y, one per observation
+	// Entropy terms and supports of the first done observations, cached
+	// until the next Add.
+	done        int
+	hx, hy, hxy float64
+	kx, ky, kxy int
 }
 
 // NewJoint returns an empty joint frequency table.
-func NewJoint() *Joint {
-	return &Joint{xy: make(map[uint64]int), x: make(map[uint64]int), y: make(map[uint64]int)}
-}
+func NewJoint() *Joint { return &Joint{} }
+
+// Grow reserves room for n more observations, so a caller that knows its
+// sample count adds them without reallocating.
+func (j *Joint) Grow(n int) { j.keys = slices.Grow(j.keys, n) }
 
 // Add records one paired observation. Symbols are folded to 32 bits.
 func (j *Joint) Add(x, y uint64) {
-	x &= 0xffffffff
-	y &= 0xffffffff
-	j.xy[x<<32|y]++
-	j.x[x]++
-	j.y[y]++
-	j.n++
+	j.keys = append(j.keys, (x&0xffffffff)<<32|y&0xffffffff)
 }
 
 // N returns the number of paired observations.
-func (j *Joint) N() int { return j.n }
+func (j *Joint) N() int { return len(j.keys) }
 
-// sortedCounts extracts a count table's cells in ascending key order.
-func sortedCounts(m map[uint64]int) []int {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// tally computes all three entropy terms and supports in two sorts of the
+// packed keys. Sorted x<<32|y keys give the joint cells and, grouped on
+// their high half, the x marginal, both in ascending key order; swapping
+// the halves and sorting again gives the y marginal the same way. The key
+// multiset is unchanged, so later Adds and tallies stay valid.
+func (j *Joint) tally() {
+	n := len(j.keys)
+	if j.done == n {
+		return
 	}
-	slices.Sort(keys)
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
+	const hi = 0xffffffff << 32
+	slices.Sort(j.keys)
+	sxy, kxy := runSum(j.keys, ^uint64(0))
+	sx, kx := runSum(j.keys, hi)
+	for i, k := range j.keys {
+		j.keys[i] = bits.RotateLeft64(k, 32)
 	}
-	return out
+	slices.Sort(j.keys)
+	sy, ky := runSum(j.keys, hi)
+	for i, k := range j.keys {
+		j.keys[i] = bits.RotateLeft64(k, 32)
+	}
+	j.hx, j.hy, j.hxy = entropyBits(sx, n), entropyBits(sy, n), entropyBits(sxy, n)
+	j.kx, j.ky, j.kxy = kx, ky, kxy
+	j.done = n
 }
 
 // EntropyXBits returns the plug-in marginal entropy H(X) in bits.
-func (j *Joint) EntropyXBits() float64 { return entropyBits(sortedCounts(j.x), j.n) }
+func (j *Joint) EntropyXBits() float64 {
+	j.tally()
+	return j.hx
+}
 
 // EntropyYBits returns the plug-in marginal entropy H(Y) in bits.
-func (j *Joint) EntropyYBits() float64 { return entropyBits(sortedCounts(j.y), j.n) }
+func (j *Joint) EntropyYBits() float64 {
+	j.tally()
+	return j.hy
+}
 
 // MutualInformationBits returns the plug-in estimate of I(X;Y) in bits:
 // H(X) + H(Y) - H(X,Y).
 func (j *Joint) MutualInformationBits() float64 {
-	return j.EntropyXBits() + j.EntropyYBits() - entropyBits(sortedCounts(j.xy), j.n)
+	j.tally()
+	return j.hx + j.hy - j.hxy
 }
 
 // MutualInformationBitsMM returns the Miller–Madow corrected estimate of
@@ -155,13 +193,16 @@ func (j *Joint) MutualInformationBits() float64 {
 // zero; callers reporting a leakage score should clamp at zero (true MI is
 // nonnegative).
 func (j *Joint) MutualInformationBitsMM() float64 {
-	return j.MutualInformationBits() +
-		millerMadowBits(len(j.x), j.n) + millerMadowBits(len(j.y), j.n) - millerMadowBits(len(j.xy), j.n)
+	j.tally()
+	n := len(j.keys)
+	return j.hx + j.hy - j.hxy +
+		millerMadowBits(j.kx, n) + millerMadowBits(j.ky, n) - millerMadowBits(j.kxy, n)
 }
 
 // ConditionalEntropyBits returns the plug-in H(X|Y) in bits:
 // H(X,Y) - H(Y), the attacker's residual uncertainty about the request
 // stream given the wire trace.
 func (j *Joint) ConditionalEntropyBits() float64 {
-	return entropyBits(sortedCounts(j.xy), j.n) - j.EntropyYBits()
+	j.tally()
+	return j.hxy - j.hy
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"obfusmem/internal/xrand"
@@ -148,5 +149,142 @@ func TestJointSymbolFolding(t *testing.T) {
 	}
 	if got := j.EntropyXBits(); got != 0 {
 		t.Errorf("folded symbols should coincide: H(X) = %v, want 0", got)
+	}
+}
+
+// refHist and refJoint are the map-backed count tables the sorted-slice
+// Hist and Joint replaced, kept verbatim as the reference for
+// TestTablesMatchMapReference.
+type refHist struct {
+	counts map[uint64]int
+	n      int
+}
+
+func newRefHist() *refHist { return &refHist{counts: make(map[uint64]int)} }
+
+func (h *refHist) Add(sym uint64) {
+	h.counts[sym]++
+	h.n++
+}
+
+func (h *refHist) EntropyBits() float64 { return refEntropyBits(refSortedCounts(h.counts), h.n) }
+
+func (h *refHist) EntropyBitsMM() float64 {
+	return h.EntropyBits() + millerMadowBits(len(h.counts), h.n)
+}
+
+type refJoint struct {
+	xy   map[uint64]int
+	x, y map[uint64]int
+	n    int
+}
+
+func newRefJoint() *refJoint {
+	return &refJoint{xy: make(map[uint64]int), x: make(map[uint64]int), y: make(map[uint64]int)}
+}
+
+func (j *refJoint) Add(x, y uint64) {
+	x &= 0xffffffff
+	y &= 0xffffffff
+	j.xy[x<<32|y]++
+	j.x[x]++
+	j.y[y]++
+	j.n++
+}
+
+func refSortedCounts(m map[uint64]int) []int {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([]int, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out
+}
+
+func refEntropyBits(counts []int, n int) float64 {
+	if n <= 0 {
+		return 0
+	}
+	var s float64
+	for _, c := range counts {
+		if c > 0 {
+			s += float64(c) * math.Log2(float64(c))
+		}
+	}
+	return math.Log2(float64(n)) - s/float64(n)
+}
+
+func (j *refJoint) EntropyXBits() float64 { return refEntropyBits(refSortedCounts(j.x), j.n) }
+func (j *refJoint) EntropyYBits() float64 { return refEntropyBits(refSortedCounts(j.y), j.n) }
+
+func (j *refJoint) MutualInformationBits() float64 {
+	return j.EntropyXBits() + j.EntropyYBits() - refEntropyBits(refSortedCounts(j.xy), j.n)
+}
+
+func (j *refJoint) MutualInformationBitsMM() float64 {
+	return j.MutualInformationBits() +
+		millerMadowBits(len(j.x), j.n) + millerMadowBits(len(j.y), j.n) - millerMadowBits(len(j.xy), j.n)
+}
+
+func (j *refJoint) ConditionalEntropyBits() float64 {
+	return refEntropyBits(refSortedCounts(j.xy), j.n) - j.EntropyYBits()
+}
+
+// TestTablesMatchMapReference is the differential check of the sorted-slice
+// count tables against the map-backed reference: on random streams over
+// alphabets from one symbol to wider than 32 bits, with correlated and
+// independent pairs, every entropy, mutual-information and support figure
+// must agree to the bit, including when queries interleave with Adds.
+func TestTablesMatchMapReference(t *testing.T) {
+	rng := xrand.New(99)
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s = %v (%#x), reference %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(3000)
+		kx := uint64(1) << rng.Intn(12)
+		ky := uint64(1) << rng.Intn(12)
+		wide := trial%3 == 0 // symbols above 32 bits must fold
+		corr := trial%2 == 0 // y depends on x
+		h, rh := NewHist(), newRefHist()
+		j, rj := NewJoint(), newRefJoint()
+		j.Grow(n / 2)
+		for i := 0; i < n; i++ {
+			x := rng.Uint64n(kx)
+			y := rng.Uint64n(ky)
+			if corr {
+				y = (x*7 + rng.Uint64n(2)) % ky
+			}
+			if wide {
+				x |= rng.Uint64() << 32
+				y |= rng.Uint64() << 40
+			}
+			h.Add(x)
+			rh.Add(x)
+			j.Add(x, y)
+			rj.Add(x, y)
+			if i == n/3 || i == n-1 {
+				same("Hist.EntropyBits", h.EntropyBits(), rh.EntropyBits())
+				same("Hist.EntropyBitsMM", h.EntropyBitsMM(), rh.EntropyBitsMM())
+				if h.Support() != len(rh.counts) || h.N() != rh.n {
+					t.Errorf("Hist support/N = %d/%d, reference %d/%d", h.Support(), h.N(), len(rh.counts), rh.n)
+				}
+				same("EntropyXBits", j.EntropyXBits(), rj.EntropyXBits())
+				same("EntropyYBits", j.EntropyYBits(), rj.EntropyYBits())
+				same("MutualInformationBits", j.MutualInformationBits(), rj.MutualInformationBits())
+				same("MutualInformationBitsMM", j.MutualInformationBitsMM(), rj.MutualInformationBitsMM())
+				same("ConditionalEntropyBits", j.ConditionalEntropyBits(), rj.ConditionalEntropyBits())
+				if j.N() != rj.n {
+					t.Errorf("Joint N = %d, reference %d", j.N(), rj.n)
+				}
+			}
+		}
 	}
 }

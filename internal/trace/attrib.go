@@ -194,8 +194,13 @@ func (r *Recorder) Attribution(kindFilter string) Attribution {
 		DroppedSamples: a.droppedSmp,
 		MaxResidualPS:  a.maxResidual,
 	}
+	// Every column holds at most one value per retained sample; sizing them
+	// up front spares the appends below any regrowth.
 	perCat := make([][]float64, numCategories)
-	var totals []float64
+	for c := range perCat {
+		perCat[c] = make([]float64, 0, len(a.samples))
+	}
+	totals := make([]float64, 0, len(a.samples))
 	for i, bd := range a.samples {
 		if kindFilter != "" && r.strs[a.kinds[i]] != kindFilter {
 			continue
